@@ -9,6 +9,7 @@ of per-class defect counts.
 from .pmf import CredibleInterval, JointPmf2D, Pmf, iterate_update, mixture, update
 from .density import AUTO, DensityGrid, exclude_interval, kde, scott_bandwidth, to_pmf
 from .outcomes import (
+    BayesFactor,
     OutcomeCounts,
     OutcomeDistribution,
     baseline_distribution,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -220,16 +221,16 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig) -> dict:
         per = {}
         for scheme in cfg.schemes:
             factor = outcomes.bayes_factor(counts, resolved[name], scheme, cfg.simplex_step)
-            if factor > 0:
-                label = outcomes.jeffreys_label(factor)
-            else:
+            # a factor below the float range underflows to 0.0 but keeps a finite log10
+            label = outcomes.jeffreys_label(factor) if factor > 0 else "negative"
+            log10 = None if factor.log10 == -math.inf else factor.log10
+            if log10 is None:
                 # coarse grids can starve one hypothesis family of the data
-                label = "negative"
                 warnings.append(
                     f"factor for baseline {name!r}, scheme {scheme!r} is 0; "
                     f"consider a finer --simplex-step"
                 )
-            per[scheme] = {"factor": factor, "label": label}
+            per[scheme] = {"factor": float(factor), "label": label, "log10_factor": log10}
         factors[name] = per
 
     out_dir = Path(cfg.out)

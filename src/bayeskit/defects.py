@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AllZeroMass, InvalidProbability, NonPositiveParams
 from .pmf import JointPmf2D, Pmf
@@ -208,12 +208,21 @@ def binomial_pmf(h: int, e: float, d: int) -> float:
     return math.comb(h, d) * e**d * (1.0 - e) ** (h - d)
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of log(i!) for i = 0..n."""
+    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    table.setflags(write=False)
+    return table
+
+
 def _log_binomial_vec(h: np.ndarray, e: float, d: int) -> np.ndarray:
     """log C(h, d) e^d (1-e)^(h-d) over an integer vector h; -inf where h < d."""
     out = np.full(h.shape, -np.inf)
     ok = h >= d
-    hh = h[ok].astype(float)
-    log_coeff = gammaln(hh + 1.0) - math.lgamma(d + 1) - gammaln(hh - d + 1.0)
+    hh = h[ok]
+    log_fact = _log_factorials(int(h.max()))
+    log_coeff = log_fact[hh] - math.lgamma(d + 1) - log_fact[hh - d]
     if e == 1.0:
         tail = np.where(hh == d, 0.0, -np.inf)
     else:

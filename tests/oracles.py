@@ -99,6 +99,40 @@ def bayes_factor_oracle(counts_a, counts_b, baseline, scheme, step) -> float:
     return (better_a * tied_or_worse_b) / (all_a * all_b)
 
 
+def _log10_exact(x: Fraction) -> float:
+    return math.log10(x.numerator) - math.log10(x.denominator) if x else -math.inf
+
+
+def log10_bayes_factor_oracle(counts_a, counts_b, baseline, scheme, step) -> float:
+    """log10 of the Bayes factor from exact rational sums over the whole grid.
+
+    Multinomial masses are Fractions built from integer factorials, and each
+    weight is the exact rational value of its float, so the sums never
+    underflow; only the final numerator and denominator go through log10.
+    """
+    base_mean = _mean(baseline)
+    better_a = tied_or_worse_b = all_a = all_b = Fraction(0)
+    for probs in simplex_oracle(len(counts_a), step):
+        w = Fraction(_weight(probs, baseline, scheme))
+        masses = []
+        for counts in (counts_a, counts_b):
+            coeff = math.factorial(sum(counts))
+            for c in counts:
+                coeff //= math.factorial(c)
+            mass = w * coeff
+            for c, p in zip(counts, probs):
+                mass *= p**c
+            masses.append(mass)
+        m_a, m_b = masses
+        if _mean(probs) > base_mean:
+            better_a += m_a
+        else:
+            tied_or_worse_b += m_b
+        all_a += m_a
+        all_b += m_b
+    return _log10_exact(better_a * tied_or_worse_b) - _log10_exact(all_a * all_b)
+
+
 # -- deterministic random stream ------------------------------------------------
 
 

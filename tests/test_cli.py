@@ -2,14 +2,21 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bayeskit.cli import build_parser, main
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+from oracles import log10_bayes_factor_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 FAST_FIT = ["--grid", "60x40", "--alpha-range", "1,20", "--beta-range", "0.3,2"]
 
@@ -116,6 +123,50 @@ class TestCompareOutcomes:
         assert factors["AT"]["uniform"]["label"] == "negative"
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["warnings"]
+
+    def test_zero_factor_log10_written_as_null(self, tmp_path):
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
+             "--baseline-set", "AT", "--scheme", "uniform", "--simplex-step", "0.25"]
+        )
+        assert code == 0
+        factors = json.loads((tmp_path / "outcome_factors.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert factors["AT"]["uniform"]["log10_factor"] is None
+        assert report["results"]["factors"] == factors
+
+    def test_underflowing_factor_keeps_log10_without_warning(self, tmp_path):
+        # the bundled counts x200: the factor underflows to 0.0, but both
+        # hypothesis families can produce the data, so nothing is wrong
+        scale = 200
+        counts = {"agile": (1, 6, 22), "structured": (0, 5, 13)}
+        rows = ["project_id,group,category"]
+        for group, per in counts.items():
+            for category, c in enumerate(per):
+                rows += [f"{group}{category}_{i},{group},{category}" for i in range(scale * c)]
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", data,
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out,
+             "--baseline-set", "T", "--scheme", "uniform", "--simplex-step", "0.05"]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == []
+        got = json.loads((out / "outcome_factors.json").read_text())["T"]["uniform"]
+        assert got["factor"] == 0.0 and got["label"] == "negative"
+        want = log10_bayes_factor_oracle(
+            tuple(scale * c for c in counts["agile"]),
+            tuple(scale * c for c in counts["structured"]),
+            (Fraction(18, 100), Fraction(32, 100), Fraction(50, 100)),
+            "uniform",
+            0.05,
+        )
+        assert got["log10_factor"] == pytest.approx(want, abs=1e-9)
+        assert report["results"]["factors"]["T"]["uniform"] == got
 
     def test_unknown_baseline_fails(self, tmp_path, capsys):
         code = run(
@@ -319,3 +370,13 @@ class TestConfigAndErrors:
         digest = next(iter(report["inputs"].values()))
         assert len(digest) == 64
         assert report["parameters"]["at_most"] == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing the program must not need it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bayeskit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

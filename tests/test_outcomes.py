@@ -1,6 +1,7 @@
 """Tests for Bayes-factor comparison of categorical outcomes."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from bayeskit.outcomes import (
     scheme_weight,
 )
 
-from oracles import bayes_factor_oracle, lcg_uniforms
+from oracles import bayes_factor_oracle, lcg_uniforms, log10_bayes_factor_oracle
 
 SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
 SURVEY_T = OutcomeDistribution((0.18, 0.32, 0.50))
@@ -296,6 +297,40 @@ class TestBayesFactor:
             best_means.append(best.mean())
         assert all(a <= b + 1e-12 for a, b in zip(best_means, best_means[1:]))
 
+
+
+class TestLogSpace:
+    # the bundled agile / structured counts, scaled up until the likelihoods
+    # fall far below the smallest float
+    BIG_A = tuple(1000 * c for c in (1, 6, 22))
+    BIG_B = tuple(1000 * c for c in (0, 5, 13))
+
+    def test_large_counts_match_exact_oracle(self):
+        # both likelihoods underflow as floats; their ratio stays well defined
+        data = OutcomeCounts(self.BIG_A, self.BIG_B)
+        base = OutcomeDistribution((0.5, 0.25, 0.25))
+        base_exact = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        got = bayes_factor(data, base, "uniform", 0.25)
+        want = log10_bayes_factor_oracle(self.BIG_A, self.BIG_B, base_exact, "uniform", 0.25)
+        assert got.log10 == pytest.approx(want, abs=1e-9)
+        assert got == 0.0
+
+    def test_empty_family_is_minus_infinity(self):
+        # at step 0.25 no all-positive grid distribution beats SURVEY_T
+        got = bayes_factor(OutcomeCounts(self.BIG_A, self.BIG_B), SURVEY_T, "uniform", 0.25)
+        assert got == 0.0
+        assert got.log10 == -math.inf
+
+    def test_log10_agrees_with_factor(self):
+        data = OutcomeCounts((1, 6, 22), (0, 5, 13))
+        for scheme in ("uniform", "triangle", "power", "exp"):
+            got = bayes_factor(data, SURVEY_T, scheme, 0.05)
+            assert got.log10 == pytest.approx(math.log10(got), rel=1e-12)
+
+    def test_factor_survives_pickling(self):
+        got = bayes_factor(OutcomeCounts((1, 2, 3), (2, 1, 1)), SURVEY_T, "exp", 0.25)
+        back = pickle.loads(pickle.dumps(got))
+        assert back == got and back.log10 == got.log10
 
 class TestJeffreysLabel:
     @pytest.mark.parametrize(
