@@ -31,7 +31,6 @@ from .speedup import (
     calib_deltas,
     calib_speedups,
     classify,
-    compare_all_pairs,
     compare_pair,
     graph_to_dot,
     primary_speedups,

@@ -14,8 +14,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -62,17 +63,21 @@ def _jsonable(obj):
     return obj
 
 
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+
+
 def _write_report(out_dir: Path, command: str, cfg, inputs, results, warnings=()) -> dict:
     parameters = asdict(cfg)
     parameters.pop("out", None)  # run placement, not analysis configuration
     report = {
         "command": command,
-        "parameters": _jsonable(parameters),
+        "parameters": parameters,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "results": _jsonable(results),
+        "results": results,
         "warnings": list(warnings),
     }
-    _write_text(out_dir / REPORT_NAME, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / REPORT_NAME, report)
     return report
 
 
@@ -80,113 +85,165 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]", "_", name.replace("#", "sharp"))
 
 
-# -- flag parsing helpers ----------------------------------------------------
+# -- options -----------------------------------------------------------------
+#
+# Each subcommand's config dataclass is the only declaration of its options.
+# A field's metadata holds its help text and the parser that checks its value,
+# whether the value comes as flag text or from a --config JSON file.
 
 
-def _as_pair(value, caster, flag):
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
-    if len(parts) != 2:
-        raise InvalidValue(f"{flag} expects two comma-separated values, got {value!r}")
+def _switch(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _bandwidth(text: str):
+    return AUTO if text == AUTO else float(text)
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """Parser of two values joined by `sep` (in either case), each parsed by `cast`."""
+
+    cast: Callable
+    sep: str = ","
+
+    def __call__(self, text: str) -> tuple:
+        low, high = re.split(self.sep, text, flags=re.IGNORECASE)
+        return self.cast(low), self.cast(high)
+
+
+_pair = _Pair(float)
+_grid = _Pair(int, "x")
+
+
+def _as_text(value, parse, number=str) -> str:
+    """The flag text for a value; lists and tuples join their items with the parser's `sep`."""
+    if isinstance(value, (list, tuple)):
+        return getattr(parse, "sep", ",").join(_as_text(v, parse, number) for v in value)
+    return number(value) if isinstance(value, float) else str(value)
+
+
+def _option(help, parse=str, default=MISSING, *, choices=(), flag=None, shown=None):
+    """A config field that is also a flag; `shown` describes a default that is not a literal."""
+    meta = {"help": help, "parse": parse, "choices": choices, "flag": flag, "shown": shown}
+    return field(default=default, metadata=meta)
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def _help(f) -> str:
+    shown = f.metadata["shown"]
+    if shown is None and f.default not in (MISSING, None):
+        shown = _as_text(f.default, f.metadata["parse"], "{:g}".format)
+    return f"{f.metadata['help']} (default: {shown})" if shown else f.metadata["help"]
+
+
+def _parse_option(f, value):
+    """Parse a flag's text, or a config value as the flag text that would give it."""
+    parse, choices = f.metadata["parse"], f.metadata["choices"]
     try:
-        return caster(parts[0]), caster(parts[1])
+        parsed = parse(_as_text(value, parse))
     except ValueError:
-        raise InvalidValue(f"{flag}: cannot parse {value!r}") from None
-
-
-def _as_grid(value, flag):
-    if isinstance(value, str):
-        parts = value.lower().split("x")
-    else:
-        parts = list(value)
-    if len(parts) != 2:
-        raise InvalidValue(f"{flag} expects NxM, got {value!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InvalidValue(f"{flag}: cannot parse {value!r}") from None
-
-
-def _as_bandwidth(value):
-    if value in (None, AUTO, "auto"):
-        return AUTO
-    try:
-        return float(value)
-    except ValueError:
-        raise InvalidValue(f"--bandwidth must be 'auto' or a number, got {value!r}") from None
-
-
-def _as_names(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return tuple(n.strip() for n in value.split(",") if n.strip())
-    return tuple(value)
+        raise InvalidValue(f"{_flag(f)}: cannot parse {value!r} ({f.metadata['help']})") from None
+    bad = [v for v in (parsed if isinstance(parsed, tuple) else (parsed,)) if v not in choices]
+    if choices and bad:
+        raise InvalidValue(f"{_flag(f)}: unknown value(s) {bad}; expected one of {choices}")
+    return parsed
 
 
 # -- subcommand configs ------------------------------------------------------
 
+_DERIVED_BINS = 100
 
-@dataclass
-class CompareOutcomesConfig:
-    data: str
-    baselines: str
-    out: str = "."
-    baseline_set: tuple[str, ...] | None = None
-    schemes: tuple[str, ...] = outcomes.WEIGHT_SCHEMES
-    simplex_step: float = 0.05
-    rescale_b: int = 1
-    rescale_r: int | None = None
-    hypothesis_group: str | None = None
+
+@dataclass(kw_only=True)
+class _Common:
+    out: str = _option("output directory", default=".", shown="current directory")
 
 
 @dataclass
-class ComparePerformanceConfig:
-    primary: str
-    calib: str
-    out: str = "."
-    metric: str = "time"
-    bandwidth: object = AUTO
-    ci: float = 0.95
-    plots: bool = False
+class CompareOutcomesConfig(_Common):
+    data: str = _option("outcomes CSV: project_id,group,raw_outcome|category")
+    baselines: str = _option("baseline CSV: category,k,probability")
+    baseline_set: tuple[str, ...] | None = _option(
+        "comma-separated baseline names", _names, None, shown="all in file"
+    )
+    schemes: tuple[str, ...] = _option(
+        "comma-separated weight schemes", _names, outcomes.WEIGHT_SCHEMES,
+        choices=outcomes.WEIGHT_SCHEMES, flag="--scheme",
+    )
+    simplex_step: float = _option("grid step for outcome distributions", float, 0.05)
+    rescale_b: int = _option("lower anchor for raw 1..10 rescaling", int, 1)
+    rescale_r: int | None = _option("number of category steps", int, None, shown="from baselines")
+    hypothesis_group: str | None = _option(
+        "group hypothesized better", default=None, shown="first in file"
+    )
 
 
 @dataclass
-class FitDefectsConfig:
-    data: str
-    out: str = "."
-    prior: str = "uniform"
-    alpha_range: tuple[float, float] = defects.DEFAULT_ALPHA_RANGE
-    beta_range: tuple[float, float] = defects.DEFAULT_BETA_RANGE
-    grid: tuple[int, int] = defects.DEFAULT_GRID_STEPS
-    ci: float = 0.9
-    pareto_xmax: float | None = None
+class ComparePerformanceConfig(_Common):
+    primary: str = _option("primary CSV: language,task,metric,value")
+    calib: str = _option("calibration CSV: language,task,input_size,variant,metric,value")
+    metric: str = _option("which metric to analyze", default="time", choices=("time", "memory"))
+    bandwidth: object = _option("KDE bandwidth: auto or a number", _bandwidth, AUTO)
+    ci: float = _option("credible-interval mass", float, 0.95)
+    plots: bool = _option("also write per-pair posterior SVGs", _switch, False)
 
 
 @dataclass
-class EstimateTotalBugsConfig:
-    data: str
-    out: str = "."
-    prior: str = "uniform"
-    e_range: tuple[float, float] = defects.DEFAULT_E_RANGE
-    strong_range: tuple[float, float] = defects.DEFAULT_STRONG_RANGE
-    e_steps: int = defects.DEFAULT_E_STEPS[0]
-    strong_steps: int = defects.DEFAULT_E_STEPS[1]
-    nmax: int | None = None
-    ci: float = 0.9
-    alpha: float | None = None
-    beta: float | None = None
+class _BugsConfig(_Common):
+    data: str = _option("bugs CSV: class_id,found_simple,found_strong,public_methods,loc")
+    prior: str = _option("Weibull parameter prior", default="uniform", choices=defects.PRIORS)
 
 
 @dataclass
-class DerivedPlotsConfig:
-    data: str
-    out: str = "."
-    at_most: int = 5
-    prior: str = "uniform"
-    bins: int | None = None
+class FitDefectsConfig(_BugsConfig):
+    alpha_range: tuple[float, float] = _option(
+        "scale grid bounds a,b", _pair, defects.DEFAULT_ALPHA_RANGE
+    )
+    beta_range: tuple[float, float] = _option(
+        "shape grid bounds a,b", _pair, defects.DEFAULT_BETA_RANGE
+    )
+    grid: tuple[int, int] = _option("grid resolution NxM", _grid, defects.DEFAULT_GRID_STEPS)
+    ci: float = _option("marginal credible-interval mass", float, 0.9)
+    pareto_xmax: float | None = _option(
+        "denominator for the 80%% concentration fraction", float, None
+    )
+
+
+@dataclass
+class EstimateTotalBugsConfig(_BugsConfig):
+    e_range: tuple[float, float] = _option(
+        "simple-spec effectiveness range lo,hi", _pair, defects.DEFAULT_E_RANGE
+    )
+    strong_range: tuple[float, float] = _option(
+        "strong-spec effectiveness range lo,hi", _pair, defects.DEFAULT_STRONG_RANGE,
+        flag="--E-range",
+    )
+    e_steps: int = _option("grid steps on the e axis", int, defects.DEFAULT_E_STEPS[0])
+    strong_steps: int = _option(
+        "grid steps on the E axis", int, defects.DEFAULT_E_STEPS[1], flag="--E-steps"
+    )
+    nmax: int | None = _option("cap on total bugs per class", int, None, shown="max(100, 10*found)")
+    ci: float = _option("credible-interval mass", float, 0.9)
+    alpha: float | None = _option("fix the Weibull scale instead of refitting", float, None)
+    beta: float | None = _option("fix the Weibull shape instead of refitting", float, None)
+
+
+@dataclass
+class DerivedPlotsConfig(_BugsConfig):
+    at_most: int = _option("bug-count threshold N", int, 5)
+    bins: int | None = _option(
+        "number of [0,1] bins for the derived pmf", int, None, shown=str(_DERIVED_BINS)
+    )
 
 
 # -- runners -----------------------------------------------------------------
@@ -239,10 +296,7 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig) -> dict:
         for scheme in cfg.schemes
     ]
     _write_csv(out_dir / "outcome_factors.csv", ["scheme", *names], rows)
-    _write_text(
-        out_dir / "outcome_factors.json",
-        json.dumps(_jsonable(factors), indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(out_dir / "outcome_factors.json", factors)
     results = {
         "groups": [counts.label_a, counts.label_b],
         "counts": {counts.label_a: counts.counts_a, counts.label_b: counts.counts_b},
@@ -261,14 +315,13 @@ def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
             raise InvalidValue(f"{src}: metric {cfg.metric!r} not present (has {sorted(table)})")
     calib = calib_all[cfg.metric]
     primary = primary_all[cfg.metric]
-    bandwidth = _as_bandwidth(cfg.bandwidth)
 
     langs = sorted(set(calib.languages()) & set(primary.languages()))
     summaries = []
     out_dir = Path(cfg.out)
     for i, l1 in enumerate(langs):
         for l2 in langs[i + 1 :]:
-            post = speedup.pair_posterior(calib, primary, l1, l2, bandwidth)
+            post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
             summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
             if cfg.plots:
                 name = f"{_safe_name(l1)}_vs_{_safe_name(l2)}.svg"
@@ -317,16 +370,16 @@ def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
     )
 
 
-def _fit_joint(bug_rows, prior, alpha_range, beta_range, grid):
+def _fit_joint(bug_rows, prior, grid=None):
     counts = [b.found_strong for b in bug_rows]
-    return defects.fit_weibull_posterior(counts, prior, (alpha_range, beta_range, grid))
+    return defects.fit_weibull_posterior(counts, prior, grid)
 
 
 def run_fit_defects(cfg: FitDefectsConfig) -> dict:
     bugs = datasets.load_bug_counts(cfg.data)
     if not bugs:
         raise InvalidValue(f"{cfg.data}: no classes to fit")
-    joint = _fit_joint(bugs, cfg.prior, cfg.alpha_range, cfg.beta_range, cfg.grid)
+    joint = _fit_joint(bugs, cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
     marg_a = joint.marginal_x()
     marg_b = joint.marginal_y()
     map_a, map_b = joint.map_point()
@@ -360,7 +413,7 @@ def run_fit_defects(cfg: FitDefectsConfig) -> dict:
         }
 
     out_dir = Path(cfg.out)
-    _write_text(out_dir / "weibull_fit.json", json.dumps(_jsonable(fit), indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "weibull_fit.json", fit)
     _write_text(
         out_dir / "marginal_alpha.svg",
         line_chart_svg(
@@ -403,12 +456,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig) -> dict:
     if cfg.alpha is not None:
         params = defects.WeibullParams(cfg.alpha, cfg.beta)
     else:
-        joint = _fit_joint(
-            bugs, cfg.prior, defects.DEFAULT_ALPHA_RANGE, defects.DEFAULT_BETA_RANGE,
-            defects.DEFAULT_GRID_STEPS,
-        )
-        map_a, map_b = joint.map_point()
-        params = defects.WeibullParams(map_a, map_b)
+        params = defects.WeibullParams(*_fit_joint(bugs, cfg.prior).map_point())
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
@@ -442,11 +490,8 @@ def run_derived_plots(cfg: DerivedPlotsConfig) -> dict:
     bugs = datasets.load_bug_counts(cfg.data)
     if not bugs:
         raise InvalidValue(f"{cfg.data}: no classes to fit")
-    joint = _fit_joint(
-        bugs, cfg.prior, defects.DEFAULT_ALPHA_RANGE, defects.DEFAULT_BETA_RANGE,
-        defects.DEFAULT_GRID_STEPS,
-    )
-    bins = cfg.bins if cfg.bins is not None else 100
+    joint = _fit_joint(bugs, cfg.prior)
+    bins = cfg.bins if cfg.bins is not None else _DERIVED_BINS
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
     out_dir = Path(cfg.out)
     _write_text(
@@ -459,15 +504,31 @@ def run_derived_plots(cfg: DerivedPlotsConfig) -> dict:
         ),
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
-    _write_text(
-        out_dir / f"at_most_{cfg.at_most}.json",
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(out_dir / f"at_most_{cfg.at_most}.json", payload)
     results = {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}
     return _write_report(out_dir, "derived-plots", cfg, [cfg.data], results)
 
 
-# -- argument parsing ---------------------------------------------------------
+# -- command line ------------------------------------------------------------
+
+COMMANDS = {
+    "compare-outcomes": (
+        CompareOutcomesConfig, run_compare_outcomes,
+        "Bayes factors for two-group categorical outcomes",
+    ),
+    "compare-performance": (
+        ComparePerformanceConfig, run_compare_performance,
+        "pairwise speedup posteriors from benchmarks",
+    ),
+    "fit-defects": (FitDefectsConfig, run_fit_defects, "Weibull posterior for per-class bug counts"),
+    "estimate-total-bugs": (
+        EstimateTotalBugsConfig, run_estimate_total_bugs,
+        "hierarchical total-bug estimates per class",
+    ),
+    "derived-plots": (
+        DerivedPlotsConfig, run_derived_plots, "posterior of P[class has at most N bugs]"
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,138 +537,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian data analysis of project outcomes, benchmark speedups, and defect counts.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
+    for command, (cls, _, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON file with defaults for these flags (flags win)")
-        p.add_argument("--out", help="output directory (default: current directory)")
-
-    p = sub.add_parser("compare-outcomes", help="Bayes factors for two-group categorical outcomes")
-    add_common(p)
-    p.add_argument("--data", help="outcomes CSV: project_id,group,raw_outcome|category")
-    p.add_argument("--baselines", help="baseline CSV: category,k,probability")
-    p.add_argument("--baseline-set", help="comma-separated baseline names (default: all in file)")
-    p.add_argument("--scheme", help="comma-separated weight schemes (default: all four)")
-    p.add_argument("--simplex-step", type=float, help="grid step for outcome distributions (default 0.05)")
-    p.add_argument("--rescale-b", type=int, help="lower anchor for raw 1..10 rescaling (default 1)")
-    p.add_argument("--rescale-r", type=int, help="number of category steps (default: from baselines)")
-    p.add_argument("--hypothesis-group", help="group hypothesized better (default: first in file)")
-
-    p = sub.add_parser("compare-performance", help="pairwise speedup posteriors from benchmarks")
-    add_common(p)
-    p.add_argument("--primary", help="primary CSV: language,task,metric,value")
-    p.add_argument("--calib", help="calibration CSV: language,task,input_size,variant,metric,value")
-    p.add_argument("--metric", choices=["time", "memory"], help="which metric to analyze (default time)")
-    p.add_argument("--bandwidth", help="KDE bandwidth: auto or a number (default auto)")
-    p.add_argument("--ci", type=float, help="credible-interval mass (default 0.95)")
-    p.add_argument("--plots", action="store_true", default=None, help="also write per-pair posterior SVGs")
-
-    p = sub.add_parser("fit-defects", help="Weibull posterior for per-class bug counts")
-    add_common(p)
-    p.add_argument("--data", help="bugs CSV: class_id,found_simple,found_strong,public_methods,loc")
-    p.add_argument("--prior", choices=["uniform", "jeffreys"], help="parameter prior (default uniform)")
-    p.add_argument("--alpha-range", help="scale grid bounds a,b (default 0.1,40)")
-    p.add_argument("--beta-range", help="shape grid bounds a,b (default 0.1,3)")
-    p.add_argument("--grid", help="grid resolution NxM (default 400x300)")
-    p.add_argument("--ci", type=float, help="marginal credible-interval mass (default 0.9)")
-    p.add_argument("--pareto-xmax", type=float, help="denominator for the 80%% concentration fraction")
-
-    p = sub.add_parser("estimate-total-bugs", help="hierarchical total-bug estimates per class")
-    add_common(p)
-    p.add_argument("--data", help="bugs CSV: class_id,found_simple,found_strong,public_methods,loc")
-    p.add_argument("--prior", choices=["uniform", "jeffreys"], help="prior for the internal fit")
-    p.add_argument("--e-range", help="simple-spec effectiveness range lo,hi (default 0.15,0.5)")
-    p.add_argument("--E-range", dest="strong_range", help="strong-spec effectiveness range lo,hi (default 0.7,0.95)")
-    p.add_argument("--e-steps", type=int, help="grid steps on the e axis (default 8)")
-    p.add_argument("--E-steps", dest="strong_steps", type=int, help="grid steps on the E axis (default 6)")
-    p.add_argument("--nmax", type=int, help="cap on total bugs per class (default max(100, 10*found))")
-    p.add_argument("--ci", type=float, help="credible-interval mass (default 0.9)")
-    p.add_argument("--alpha", type=float, help="fix the Weibull scale instead of refitting")
-    p.add_argument("--beta", type=float, help="fix the Weibull shape instead of refitting")
-
-    p = sub.add_parser("derived-plots", help="posterior of P[class has at most N bugs]")
-    add_common(p)
-    p.add_argument("--data", help="bugs CSV: class_id,found_simple,found_strong,public_methods,loc")
-    p.add_argument("--at-most", type=int, help="bug-count threshold N (default 5)")
-    p.add_argument("--prior", choices=["uniform", "jeffreys"], help="parameter prior (default uniform)")
-    p.add_argument("--bins", type=int, help="number of [0,1] bins for the derived pmf (default 100)")
-
+        for f in fields(cls):
+            # values stay raw here: _config_for parses flags and config values alike
+            kwargs = {"action": "store_const", "const": "true"} if f.metadata["parse"] is _switch else {}
+            if f.metadata["choices"]:
+                kwargs["metavar"] = "{" + ",".join(f.metadata["choices"]) + "}"
+            p.add_argument(_flag(f), dest=f.name, help=_help(f), **kwargs)
     return parser
 
 
-_REQUIRED = {
-    "compare-outcomes": ("data", "baselines"),
-    "compare-performance": ("primary", "calib"),
-    "fit-defects": ("data",),
-    "estimate-total-bugs": ("data",),
-    "derived-plots": ("data",),
-}
-
-
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
+def _config_for(command: str, args: argparse.Namespace):
+    """The command's config: flags over the --config file, every value parsed by its field."""
+    cls = COMMANDS[command][0]
+    options = {f.name: f for f in fields(cls)}
     merged: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
             raise InvalidValue(f"{args.config}: config must be a JSON object")
-        merged.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    missing = [name for name in _REQUIRED[command] if not merged.get(name)]
-    if missing:
-        raise InvalidValue(f"{command}: missing required option(s): " + ", ".join(f"--{m}" for m in missing))
-    return merged
-
-
-def _config_for(command: str, args: argparse.Namespace):
-    merged = _merge_config(command, args)
-    if command == "compare-outcomes":
-        merged["baseline_set"] = _as_names(merged.pop("baseline_set", None))
-        scheme = merged.pop("scheme", None)
-        if scheme is not None:
-            names = _as_names(scheme)
-            bad = [s for s in names if s not in outcomes.WEIGHT_SCHEMES]
-            if bad:
-                raise InvalidValue(f"unknown scheme(s) {bad}; expected {outcomes.WEIGHT_SCHEMES}")
-            merged["schemes"] = names
-        cls = CompareOutcomesConfig
-    elif command == "compare-performance":
-        if "bandwidth" in merged:
-            merged["bandwidth"] = _as_bandwidth(merged["bandwidth"])
-        cls = ComparePerformanceConfig
-    elif command == "fit-defects":
-        if "alpha_range" in merged:
-            merged["alpha_range"] = _as_pair(merged["alpha_range"], float, "--alpha-range")
-        if "beta_range" in merged:
-            merged["beta_range"] = _as_pair(merged["beta_range"], float, "--beta-range")
-        if "grid" in merged:
-            merged["grid"] = _as_grid(merged["grid"], "--grid")
-        cls = FitDefectsConfig
-    elif command == "estimate-total-bugs":
-        if "e_range" in merged:
-            merged["e_range"] = _as_pair(merged["e_range"], float, "--e-range")
-        if "strong_range" in merged:
-            merged["strong_range"] = _as_pair(merged["strong_range"], float, "--E-range")
-        cls = EstimateTotalBugsConfig
-    else:
-        cls = DerivedPlotsConfig
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(merged) - known)
+    unknown = sorted(set(merged) - set(options))
     if unknown:
         raise InvalidValue(f"{command}: unknown option(s) {unknown}")
-    return cls(**merged)
-
-
-RUNNERS = {
-    "compare-outcomes": run_compare_outcomes,
-    "compare-performance": run_compare_performance,
-    "fit-defects": run_fit_defects,
-    "estimate-total-bugs": run_estimate_total_bugs,
-    "derived-plots": run_derived_plots,
-}
+    merged.update((k, v) for k, v in vars(args).items() if k in options and v is not None)
+    missing = [_flag(f) for f in options.values() if f.default is MISSING and not merged.get(f.name)]
+    if missing:
+        raise InvalidValue(f"{command}: missing required option(s): " + ", ".join(missing))
+    return cls(**{k: _parse_option(options[k], v) for k, v in merged.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -618,7 +577,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _config_for(args.command, args)
-        RUNNERS[args.command](cfg)
+        COMMANDS[args.command][1](cfg)
     except (AnalysisError, FileNotFoundError, ValueError) as exc:
         print(f"bayeskit: error: {exc}", file=sys.stderr)
         return 1

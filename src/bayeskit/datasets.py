@@ -216,21 +216,3 @@ def load_bug_counts(path) -> tuple[BugCounts, ...]:
         loc = _parse_int(path, line, "loc", loc_raw, minimum=1) if loc_raw else None
         out.append(BugCounts(class_id, simple, strong, methods, loc))
     return tuple(out)
-
-
-_LOADERS = {
-    "outcomes": load_outcomes,
-    "baseline": load_baselines,
-    "bench": load_benchmarks,
-    "primary": load_primary,
-    "bugs": load_bug_counts,
-}
-
-
-def ingest(path, schema: str):
-    """Load and validate a CSV file against one of the named schemas."""
-    try:
-        loader = _LOADERS[schema]
-    except KeyError:
-        raise SchemaMismatch(f"unknown schema {schema!r}; expected one of {sorted(_LOADERS)}") from None
-    return loader(path)

@@ -15,11 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZeroMass, InvalidProbability, NonPositiveParams
-from .pmf import JointPmf2D, Pmf
+from .errors import InvalidProbability, NonPositiveParams
+from .pmf import JointPmf2D, Pmf, _shift_exp
 
 #: evaluation point standing in for x = 0 where the density diverges (shape < 1)
 PDF_ZERO_EPS = 1e-12
+
+PRIORS = ("uniform", "jeffreys")
 
 DEFAULT_ALPHA_RANGE = (0.1, 40.0)
 DEFAULT_BETA_RANGE = (0.1, 3.0)
@@ -156,7 +158,7 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
         raise ValueError("need at least one bug count")
     if any(c < 0 for c in data):
         raise ValueError(f"bug counts must be nonnegative, got {counts!r}")
-    if prior_kind not in ("uniform", "jeffreys"):
+    if prior_kind not in PRIORS:
         raise ValueError(f"prior must be 'uniform' or 'jeffreys', got {prior_kind!r}")
     if grid is None:
         grid = (DEFAULT_ALPHA_RANGE, DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS)
@@ -243,10 +245,7 @@ def _log_scaled_prior(params: WeibullParams, strong_e: float, n_max: int) -> np.
 
 
 def _normalize_log(logw: np.ndarray) -> np.ndarray:
-    top = logw.max()
-    if not np.isfinite(top):
-        raise AllZeroMass("all log-weights are -inf")
-    w = np.exp(logw - top)
+    w = _shift_exp(logw)
     return w / w.sum()
 
 

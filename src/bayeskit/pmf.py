@@ -16,6 +16,16 @@ import numpy as np
 
 from .errors import AllZeroMass, InvalidMass, NonNumericSupport
 
+
+def _shift_exp(log_weights) -> np.ndarray:
+    """Weights exp(logw - max), so the largest is 1; shift-by-max keeps exp from underflowing."""
+    logw = np.asarray(log_weights, dtype=float)
+    top = logw.max() if logw.size else -np.inf
+    if not np.isfinite(top):
+        raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
+    return np.exp(logw - top)
+
+
 @dataclass(frozen=True)
 class CredibleInterval:
     """Equal-tailed interval holding at least `mass` posterior probability."""
@@ -65,11 +75,7 @@ class Pmf:
     @classmethod
     def from_log_weights(cls, support: Sequence, log_weights: np.ndarray) -> "Pmf":
         """Normalize log-domain weights into a pmf (shift-by-max for stability)."""
-        logw = np.asarray(log_weights, dtype=float)
-        top = logw.max() if logw.size else -np.inf
-        if not np.isfinite(top):
-            raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
-        return cls(support, np.exp(logw - top))
+        return cls(support, _shift_exp(log_weights))
 
     # -- accessors --------------------------------------------------------
 
@@ -194,11 +200,7 @@ class JointPmf2D:
 
     @classmethod
     def from_log_weights(cls, x_grid, y_grid, log_weights: np.ndarray) -> "JointPmf2D":
-        logw = np.asarray(log_weights, dtype=float)
-        top = logw.max() if logw.size else -np.inf
-        if not np.isfinite(top):
-            raise AllZeroMass("all joint log-weights are -inf")
-        return cls(x_grid, y_grid, np.exp(logw - top))
+        return cls(x_grid, y_grid, _shift_exp(log_weights))
 
     @property
     def x_grid(self) -> np.ndarray:

@@ -259,21 +259,6 @@ def compare_pair(
     return summarize_pair((lang1, lang2), post, ci_mass)
 
 
-def compare_all_pairs(
-    calib_data: BenchmarkDataset,
-    primary_data: BenchmarkDataset,
-    ci_mass: float = 0.95,
-    bandwidth=AUTO,
-) -> list[ComparisonSummary]:
-    """Summaries for every unordered pair of languages present in both datasets."""
-    langs = sorted(set(calib_data.languages()) & set(primary_data.languages()))
-    out = []
-    for i, l1 in enumerate(langs):
-        for l2 in langs[i + 1 :]:
-            out.append(compare_pair(calib_data, primary_data, l1, l2, ci_mass, bandwidth))
-    return out
-
-
 @dataclass(frozen=True)
 class RelationshipGraph:
     """Directed speed-relationship graph: edges point from slower to faster."""

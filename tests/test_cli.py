@@ -51,7 +51,8 @@ class TestHelp:
             (
                 "compare-outcomes",
                 ["--data", "--baselines", "--baseline-set", "--scheme", "--simplex-step",
-                 "--rescale-b", "--rescale-r", "--hypothesis-group", "--out", "--config"],
+                 "--rescale-b", "--rescale-r", "--hypothesis-group", "--out", "--config",
+                 "0.05"],
             ),
             (
                 "compare-performance",
@@ -59,11 +60,13 @@ class TestHelp:
             ),
             (
                 "fit-defects",
-                ["--data", "--prior", "--alpha-range", "--beta-range", "--grid", "--pareto-xmax"],
+                ["--data", "--prior", "--alpha-range", "--beta-range", "--grid", "--pareto-xmax",
+                 "0.1,40", "400x300"],
             ),
             (
                 "estimate-total-bugs",
-                ["--data", "--e-range", "--E-range", "--nmax", "--alpha", "--beta"],
+                ["--data", "--e-range", "--E-range", "--nmax", "--alpha", "--beta",
+                 "0.15,0.5", "0.7,0.95", "max(100, 10*found)"],
             ),
             ("derived-plots", ["--data", "--at-most", "--prior", "--bins"]),
         ],
@@ -73,7 +76,8 @@ class TestHelp:
         sub = next(
             action for action in parser._actions if hasattr(action, "choices") and action.choices
         )
-        text = sub.choices[command].format_help()
+        # flags and the rendered defaults; help wraps lines at spaces
+        text = " ".join(sub.choices[command].format_help().split())
         for flag in flags:
             assert flag in text
 
@@ -344,6 +348,49 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"data": str(DATA / "demo_bugs.csv"), "prior": "flat"}))
         assert run(["derived-plots", "--config", cfg, "--out", tmp_path]) == 1
         assert "prior" in capsys.readouterr().err
+
+    def test_config_values_parsed_like_flags(self, tmp_path):
+        fixed = ["--data", DATA / "demo_bugs.csv", "--alpha", "8", "--beta", "0.9"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"e_steps": "2", "strong_steps": "2"}))
+        from_config, from_flags = tmp_path / "config", tmp_path / "flags"
+        assert run(["estimate-total-bugs", *fixed, "--config", cfg, "--out", from_config]) == 0
+        assert run(
+            ["estimate-total-bugs", *fixed, "--e-steps", "2", "--E-steps", "2", "--out", from_flags]
+        ) == 0
+        assert (from_config / "total_bugs.csv").read_bytes() == (
+            from_flags / "total_bugs.csv"
+        ).read_bytes()
+        params = [
+            json.loads((out / "report.json").read_text())["parameters"]
+            for out in (from_config, from_flags)
+        ]
+        assert params[0] == params[1]
+
+    @pytest.mark.parametrize(
+        "command,key,value,flag",
+        [
+            ("derived-plots", "at_most", 2.5, "--at-most"),
+            ("derived-plots", "at_most", "five", "--at-most"),
+            ("compare-performance", "plots", "no", "--plots"),
+            ("compare-performance", "ci", "0.95x", "--ci"),
+        ],
+    )
+    def test_bad_config_value_names_flag(self, tmp_path, capsys, command, key, value, flag):
+        inputs = {
+            "derived-plots": {"data": str(DATA / "demo_bugs.csv")},
+            "compare-performance": {
+                "primary": str(DATA / "demo_primary.csv"),
+                "calib": str(DATA / "demo_bench.csv"),
+            },
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**inputs[command], key: value}))
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bayeskit: error:") and flag in err
+        assert not out.exists()
 
     def test_malformed_config_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from bayeskit.datasets import (
-    ingest,
     load_baselines,
     load_benchmarks,
     load_bug_counts,
@@ -37,11 +36,6 @@ class TestHeaderValidation:
         path = write(tmp_path, "bench.csv", "")
         with pytest.raises(SchemaMismatch):
             load_benchmarks(path)
-
-    def test_unknown_schema_name(self, tmp_path):
-        path = write(tmp_path, "x.csv", "a,b\n")
-        with pytest.raises(SchemaMismatch):
-            ingest(path, "mystery")
 
 
 class TestRowValidation:
@@ -173,7 +167,3 @@ class TestBundledFixtures:
         rows = load_bug_counts(DATA / "demo_bugs.csv")
         assert len(rows) == 21
         assert all(r.found_strong >= 0 for r in rows)
-
-    def test_ingest_dispatcher(self):
-        assert len(ingest(DATA / "demo_bugs.csv", "bugs")) == 21
-        assert len(ingest(DATA / "outcome_baselines.csv", "baseline")) == 9
