@@ -1,10 +1,13 @@
 """Weibull modeling of per-class bug counts and hierarchical total-bug estimation.
 
 Counts found by a strong testing configuration pin down a Weibull
-shape/scale posterior on a 2-D grid.  Totals per class are then estimated in
-two layers: for fixed detection effectiveness values (e, E) a scaled-Weibull
-prior meets a binomial likelihood, and a second update over an effectiveness
-grid absorbs the uncertainty about (e, E) into a posterior mixture.
+shape/scale posterior on a 2-D grid, whose log-likelihood is built from the
+distinct counts and their multiplicities.  Totals per class are then
+estimated in two layers: for fixed detection effectiveness values (e, E) a
+scaled-Weibull prior meets a binomial likelihood, and a second update over
+an effectiveness grid absorbs the uncertainty about (e, E) into a posterior
+mixture.  All (e, E) cells are one broadcast array, computed once per
+distinct found count.
 """
 
 from __future__ import annotations
@@ -127,23 +130,6 @@ def weibull_cdf(x: float, params: WeibullParams) -> float:
     return 1.0 - math.exp(-((x / params.alpha) ** params.beta))
 
 
-def _log_weibull_pdf_grid(x: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """log pdf(x) over an (alpha, beta) grid, honoring the x = 0 convention."""
-    a = alphas[:, None]
-    b = betas[None, :]
-    shape = (alphas.size, betas.size)
-    if x < 0:
-        return np.full(shape, -np.inf)
-    if x == 0:
-        logz_eps = math.log(PDF_ZERO_EPS) - np.log(a)
-        diverging = np.log(b) - np.log(a) + (b - 1.0) * logz_eps - np.exp(b * logz_eps)
-        at_one = np.broadcast_to(-np.log(a), shape)
-        out = np.where(b > 1.0, -np.inf, np.where(b < 1.0, diverging, at_one))
-        return np.broadcast_to(out, shape).copy()
-    logz = math.log(x) - np.log(a)
-    return np.log(b) - np.log(a) + (b - 1.0) * logz - np.exp(b * logz)
-
-
 def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> JointPmf2D:
     """Grid posterior over (alpha, beta) given per-class bug counts.
 
@@ -152,11 +138,16 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     ``(alpha_range, beta_range, (n_alpha, n_beta))`` and alpha is
     log-spaced.  The prior is flat or the reference prior proportional to
     1/(alpha*beta).
+
+    With distinct shifted counts x of multiplicities m (N in total), the
+    log-likelihood is N(log b - log a) + (b - 1)(sum m log x - N log a)
+    - sum m (x/a)^b.  The last sum goes through a log-sum-exp over x, so it
+    overflows only where a per-count sum would.
     """
-    data = [float(c) for c in counts]
-    if not data:
+    data = np.asarray([float(c) for c in counts])
+    if not data.size:
         raise ValueError("need at least one bug count")
-    if any(c < 0 for c in data):
+    if (data < 0).any():
         raise ValueError(f"bug counts must be nonnegative, got {counts!r}")
     if prior_kind not in PRIORS:
         raise ValueError(f"prior must be 'uniform' or 'jeffreys', got {prior_kind!r}")
@@ -166,34 +157,32 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     if not (0 < a_lo <= a_hi and 0 < b_lo <= b_hi) or n_a < 1 or n_b < 1:
         raise NonPositiveParams(f"bad parameter grid {grid!r}")
     alphas = np.geomspace(a_lo, a_hi, int(n_a))
+    log_a = np.log(alphas)[:, None]
     betas = np.linspace(b_lo, b_hi, int(n_b))
 
-    logw = np.zeros((alphas.size, betas.size))
+    x, m = np.unique(data + 1.0, return_counts=True)
+    n, log_x = data.size, np.log(x)
+    terms = np.log(m) + np.outer(betas, log_x)  # log m + b log x, one row per beta
+    top = terms.max(axis=1)
+    log_power_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    logw = (
+        n * (np.log(betas) - log_a)
+        + (betas - 1.0) * (m @ log_x - n * log_a)
+        - np.exp(log_power_sum - betas * log_a)
+    )
     if prior_kind == "jeffreys":
-        logw -= np.log(alphas)[:, None] + np.log(betas)[None, :]
-    for d in data:
-        logw += _log_weibull_pdf_grid(d + 1.0, alphas, betas)
+        logw -= log_a + np.log(betas)
     return JointPmf2D.from_log_weights(alphas, betas, logw)
 
 
 def pareto_fraction(params: WeibullParams, x_max: float) -> float:
     """Fraction of `x_max` below which 80% of the distribution falls.
 
-    Solves cdf(b) = 0.8 by bisection to 1e-9 and returns b / x_max.
+    cdf(b) = 0.8 solves to b = alpha * ln(5)^(1/beta); returns b / x_max.
     """
     if not x_max > 0:
         raise NonPositiveParams(f"x_max must be positive, got {x_max!r}")
-    hi = params.alpha
-    while weibull_cdf(hi, params) < 0.8:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2.0
-        if weibull_cdf(mid, params) < 0.8:
-            lo = mid
-        else:
-            hi = mid
-    return ((lo + hi) / 2.0) / x_max
+    return params.alpha * math.log(5.0) ** (1.0 / params.beta) / x_max
 
 
 # -- hierarchical total-bug estimation --------------------------------------
@@ -244,11 +233,6 @@ def _log_scaled_prior(params: WeibullParams, strong_e: float, n_max: int) -> np.
     return np.concatenate(([head], body))
 
 
-def _normalize_log(logw: np.ndarray) -> np.ndarray:
-    w = _shift_exp(logw)
-    return w / w.sum()
-
-
 def total_bugs_posterior(
     params: WeibullParams, d: int, e: float, strong_e: float, n_max: int
 ) -> Pmf:
@@ -258,21 +242,18 @@ def total_bugs_posterior(
     h * strong_e (the scale at which the fit's own detections were made);
     the likelihood of finding d of h bugs is binomial with rate e.
     """
-    if d < 0:
-        raise ValueError(f"found-bug count must be nonnegative, got {d}")
-    if n_max < d:
-        raise ValueError(f"n_max={n_max} cannot be below the observed count {d}")
-    if not 0.0 < e <= 1.0:
-        raise InvalidProbability(f"effectiveness must be in (0, 1], got {e!r}")
-    if not 0.0 < strong_e <= 1.0:
-        raise InvalidProbability(f"strong effectiveness must be in (0, 1], got {strong_e!r}")
-    h = np.arange(n_max + 1)
-    logw = _log_scaled_prior(params, strong_e, n_max) + _log_binomial_vec(h, e, d)
-    return Pmf.from_log_weights(list(range(n_max + 1)), logw)
+    grid = EffectivenessGrid((e, e), (strong_e, strong_e), 1, 1)
+    _, _, cells, _ = _total_bug_cells(params, d, grid, n_max)
+    return Pmf(list(range(n_max + 1)), cells[0, 0])
 
 
 def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_max: int):
-    """Shared core: per-cell total posteriors plus the (e, E) log-likelihood."""
+    """Shared core: per-cell total posteriors plus the (e, E) log-likelihood.
+
+    One broadcast over (e, E, h): each cell's posterior over h is its
+    binomial row times its scaled-prior row, normalised along h, and the
+    cell's likelihood is log sum_h binomial * posterior.
+    """
     if d < 0:
         raise ValueError(f"found-bug count must be nonnegative, got {d}")
     if n_max < d:
@@ -280,17 +261,14 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     e_pts = grid.e_points()
     s_pts = grid.strong_points()
     h = np.arange(n_max + 1)
-    log_binoms = [_log_binomial_vec(h, float(e), d) for e in e_pts]
-    log_priors = [_log_scaled_prior(params, float(s), n_max) for s in s_pts]
-    cells = np.empty((e_pts.size, s_pts.size, n_max + 1))
-    loglik = np.empty((e_pts.size, s_pts.size))
-    for i, log_binom in enumerate(log_binoms):
-        binom = np.exp(log_binom)
-        for j, log_prior in enumerate(log_priors):
-            probs = _normalize_log(log_prior + log_binom)
-            cells[i, j] = probs
-            total = float(np.dot(binom, probs))
-            loglik[i, j] = math.log(total) if total > 0 else -np.inf
+    log_binom = np.stack([_log_binomial_vec(h, float(e), d) for e in e_pts])
+    log_prior = np.stack([_log_scaled_prior(params, float(s), n_max) for s in s_pts])
+    logw = log_binom[:, None, :] + log_prior[None, :, :]
+    cells = _shift_exp(logw, axis=2)
+    cells /= cells.sum(axis=2, keepdims=True)
+    total = (np.exp(log_binom)[:, None, :] * cells).sum(axis=2)
+    with np.errstate(divide="ignore"):
+        loglik = np.log(total)
     return e_pts, s_pts, cells, loglik
 
 
@@ -309,8 +287,8 @@ def effectiveness_posterior(
 def class_total_bugs(params: WeibullParams, d: int, grid: EffectivenessGrid, n_max: int) -> Pmf:
     """Total-bug estimate for one class: effectiveness-weighted posterior mixture."""
     _, _, cells, loglik = _total_bug_cells(params, d, grid, n_max)
-    weights = _normalize_log(loglik)
-    mix = np.tensordot(weights, cells, axes=2)
+    weights = _shift_exp(loglik)
+    mix = np.tensordot(weights / weights.sum(), cells, axes=2)
     return Pmf(list(range(n_max + 1)), mix)
 
 
@@ -322,6 +300,10 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     by the cell mass.  With `bins` the values are aggregated onto an even
     [0, 1] grid of bin centers; otherwise exact value spikes are returned.
     """
+    if n < 0:
+        raise ValueError(f"at-most count must be nonnegative, got {n}")
+    if bins is not None and bins < 1:
+        raise ValueError(f"bin count must be at least 1, got {bins}")
     a = joint.x_grid[:, None]
     b = joint.y_grid[None, :]
     values = 1.0 - np.exp(-(((n + 1.0) / a) ** b))
@@ -362,15 +344,16 @@ def estimate_class_totals(
     ci_mass: float = 0.9,
 ) -> list[ClassEstimate]:
     """Per-class total-bug summaries from simple-spec detection counts."""
+    summaries = {}
     out = []
     for rec in classes:
         d = rec.found_simple
         cap = default_n_max(d) if n_max is None else n_max
-        post = class_total_bugs(params, d, grid, cap)
-        ci = post.credible_interval(ci_mass)
-        median = float(post.median())
+        if (d, cap) not in summaries:
+            post = class_total_bugs(params, d, grid, cap)
+            ci = post.credible_interval(ci_mass)
+            summaries[d, cap] = float(post.median()), float(ci.low), float(ci.high)
+        median, low, high = summaries[d, cap]
         per_method = median / rec.public_methods if rec.public_methods else None
-        out.append(
-            ClassEstimate(rec.class_id, d, median, float(ci.low), float(ci.high), per_method)
-        )
+        out.append(ClassEstimate(rec.class_id, d, median, low, high, per_method))
     return out

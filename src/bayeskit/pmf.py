@@ -17,11 +17,14 @@ import numpy as np
 from .errors import AllZeroMass, InvalidMass, NonNumericSupport
 
 
-def _shift_exp(log_weights) -> np.ndarray:
-    """Weights exp(logw - max), so the largest is 1; shift-by-max keeps exp from underflowing."""
+def _shift_exp(log_weights, axis=None) -> np.ndarray:
+    """Weights exp(logw - max), so the largest is 1; shift-by-max keeps exp from underflowing.
+
+    With `axis` each slice along that axis is shifted by its own maximum.
+    """
     logw = np.asarray(log_weights, dtype=float)
-    top = logw.max() if logw.size else -np.inf
-    if not np.isfinite(top):
+    top = logw.max(axis=axis, keepdims=True) if logw.size else -np.inf
+    if not np.isfinite(top).all():
         raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
     return np.exp(logw - top)
 

@@ -233,3 +233,36 @@ def class_totals_oracle(alpha, beta, d, e_points, strong_points, n_max):
         sum(weights[key] * cells[key][n] for key in cells) for n in range(n_max + 1)
     ]
     return cells, weights, mixture
+
+
+def weibull_fit_oracle(counts, prior_kind, grid):
+    """Grid posterior over (alpha, beta) by explicit loops over cells and counts.
+
+    Each count d adds log pdf(d + 1) to each cell, the prior is flat or
+    1/(alpha*beta), and the weights are normalised after shifting by the
+    largest log-weight.  The density is taken from `weibull_pdf_oracle`;
+    where it underflows to 0 the same density is spelled out in log form,
+    so likelihoods far below the float range still rank the cells.
+    Returns a list of rows, one per alpha.
+    """
+    (a_lo, a_hi), (b_lo, b_hi), (n_a, n_b) = grid
+    alphas = [a_lo * (a_hi / a_lo) ** (i / (n_a - 1)) if n_a > 1 else a_lo for i in range(n_a)]
+    betas = [b_lo + (b_hi - b_lo) * j / (n_b - 1) if n_b > 1 else b_lo for j in range(n_b)]
+    logw = []
+    for alpha in alphas:
+        row = []
+        for beta in betas:
+            total = -math.log(alpha * beta) if prior_kind == "jeffreys" else 0.0
+            for d in counts:
+                x = d + 1.0
+                pdf = weibull_pdf_oracle(x, alpha, beta)
+                if pdf > 0:
+                    total += math.log(pdf)
+                else:
+                    total += math.log(beta / alpha) + (beta - 1.0) * math.log(x / alpha) - (x / alpha) ** beta
+            row.append(total)
+        logw.append(row)
+    top = max(max(row) for row in logw)
+    weights = [[math.exp(v - top) for v in row] for row in logw]
+    norm = math.fsum(w for row in weights for w in row)
+    return [[w / norm for w in row] for row in weights]

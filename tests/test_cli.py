@@ -392,6 +392,20 @@ class TestConfigAndErrors:
         assert err.startswith("bayeskit: error:") and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--at-most", "-3"], "at-most count must be nonnegative, got -3"),
+            (["--at-most", "5", "--bins", "0"], "bin count must be at least 1, got 0"),
+            (["--at-most", "5", "--bins", "-3"], "bin count must be at least 1, got -3"),
+        ],
+    )
+    def test_derived_plots_rejects_bad_counts(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run(["derived-plots", "--data", DATA / "demo_bugs.csv", "--out", out, *flags]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_config_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -23,10 +23,10 @@ from bayeskit.defects import (
     weibull_cdf,
     weibull_pdf,
 )
-from bayeskit.errors import InvalidProbability, NonPositiveParams
+from bayeskit.errors import AllZeroMass, InvalidProbability, NonPositiveParams
 from bayeskit.pmf import JointPmf2D
 
-from oracles import class_totals_oracle, lcg_uniforms, weibull_inverse_cdf
+from oracles import class_totals_oracle, lcg_uniforms, weibull_fit_oracle, weibull_inverse_cdf
 
 P_TYPICAL = WeibullParams(8.0, 0.9)
 
@@ -124,6 +124,27 @@ class TestFitWeibull:
         joint = fit_weibull_posterior([1000], "uniform", ((0.001, 0.002), (3, 3), (4, 1)))
         assert joint.probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert joint.map_point()[0] == pytest.approx(0.002)
+
+    @pytest.mark.parametrize(
+        "counts,prior_kind,grid",
+        [
+            ([0, 0, 1, 3, 3, 3, 5, 8, 13, 0], "uniform", ((2, 20), (0.4, 1.6), (12, 10))),
+            ([0, 0, 1, 3, 3, 3, 5, 8, 13, 0], "jeffreys", ((2, 20), (0.4, 1.6), (12, 10))),
+            ([3, 5, 5], "uniform", ((8, 8), (0.9, 0.9), (1, 1))),
+            ([1000], "uniform", ((0.001, 0.002), (3, 3), (4, 1))),
+            (
+                [max(0, int(weibull_inverse_cdf(u, 8.0, 0.9) + 0.5) - 1) for u in lcg_uniforms(1, 200)],
+                "jeffreys",
+                ((0.5, 40), (0.1, 3.0), (30, 20)),
+            ),
+        ],
+    )
+    def test_matches_per_count_oracle(self, counts, prior_kind, grid):
+        # the fit sums over distinct counts, the oracle over every count and
+        # cell; only the summation order differs
+        joint = fit_weibull_posterior(counts, prior_kind, grid)
+        oracle = weibull_fit_oracle(counts, prior_kind, grid)
+        np.testing.assert_allclose(joint.probs, oracle, rtol=0, atol=1e-9)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -238,6 +259,13 @@ class TestClassTotalBugs:
             post = class_total_bugs(P_TYPICAL, d, grid, 40)
             assert post.prob(d) == 1.0
 
+    def test_impossible_cell_rejected(self):
+        # beta > 1 puts no prior mass on zero bugs, and perfect detection of
+        # zero found bugs allows only zero: the e = 1 cell has no mass at all
+        grid = EffectivenessGrid((0.5, 1.0), (1.0, 1.0), 2, 1)
+        with pytest.raises(AllZeroMass):
+            class_total_bugs(WeibullParams(8.0, 2.0), 0, grid, 40)
+
     def test_matches_triple_loop_oracle(self):
         grid = EffectivenessGrid((0.2, 0.5), (0.7, 0.95), 3, 2)
         for d in (0, 3, 7):
@@ -256,11 +284,20 @@ class TestClassTotalBugs:
         rows = [
             BugCounts("c1", 2, 5, public_methods=10),
             BugCounts("c2", 0, 1, public_methods=None),
+            BugCounts("c3", 2, 7, public_methods=4),
         ]
         grid = EffectivenessGrid((0.2, 0.5), (0.7, 0.95), 2, 2)
         estimates = estimate_class_totals(rows, P_TYPICAL, grid, n_max=60)
         assert estimates[0].per_method == pytest.approx(estimates[0].median / 10)
         assert estimates[1].per_method is None
+        # classes with the same found count share one summary, not per_method
+        first, third = estimates[0], estimates[2]
+        assert (third.class_id, third.found) == ("c3", 2)
+        assert (third.median, third.ci_low, third.ci_high) == (
+            first.median, first.ci_low, first.ci_high
+        )
+        assert third.per_method == pytest.approx(third.median / 4)
+        assert third.per_method != first.per_method
 
     def test_default_n_max_rule(self):
         assert default_n_max(0) == 100
