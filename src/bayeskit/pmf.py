@@ -29,6 +29,18 @@ def _shift_exp(log_weights, axis=None) -> np.ndarray:
     return np.exp(logw - top)
 
 
+def _increasing_reals(points, shape) -> bool:
+    """Whether `points` make a 1-D array of `shape` holding strictly increasing finite reals."""
+    try:
+        x = np.asarray(points)
+    except ValueError:  # ragged: not an array at all
+        return False
+    if x.dtype.kind not in "iuf" or x.shape != shape or x.ndim != 1:
+        return False
+    x = x.astype(float, copy=False)
+    return bool(np.isfinite(x).all() and (np.diff(x) > 0).all())
+
+
 @dataclass(frozen=True)
 class CredibleInterval:
     """Equal-tailed interval holding at least `mass` posterior probability."""
@@ -78,7 +90,31 @@ class Pmf:
     @classmethod
     def from_log_weights(cls, support: Sequence, log_weights: np.ndarray) -> "Pmf":
         """Normalize log-domain weights into a pmf (shift-by-max for stability)."""
-        return cls(support, _shift_exp(log_weights))
+        return cls._from_increasing(support, _shift_exp(log_weights))
+
+    @classmethod
+    def _from_increasing(cls, support, weights) -> "Pmf":
+        """``cls(support, weights)``, without the dict and the sort where they change nothing.
+
+        That is where `support` is strictly increasing finite real numbers, as an
+        array (whose points become Python numbers, as ``tolist`` gives them) or a
+        sequence (whose points are kept), and the weights are finite and
+        nonnegative.  Anything else, such as NaN or repeated points, takes the
+        general constructor.
+        """
+        points = support.tolist() if isinstance(support, np.ndarray) else support
+        w = np.asarray(weights, dtype=float) + 0.0  # a fresh array; -0.0 turns 0.0 as in the dict
+        if not (_increasing_reals(support, w.shape) and np.isfinite(w).all() and (w >= 0).all()):
+            return cls(points, weights)
+        total = w.sum()
+        if total <= 0.0:
+            raise AllZeroMass("all weights are zero")
+        w /= total
+        w.flags.writeable = False
+        pmf = cls.__new__(cls)
+        pmf._support = tuple(points)
+        pmf._probs = w
+        return pmf
 
     # -- accessors --------------------------------------------------------
 
@@ -110,9 +146,11 @@ class Pmf:
     # -- summaries ----------------------------------------------------------
 
     def _numeric_support(self) -> np.ndarray:
-        for p in self._support:
-            if isinstance(p, bool) or not isinstance(p, Number):
-                raise NonNumericSupport(f"support point {p!r} is not numeric")
+        bad = {t for t in set(map(type, self._support))
+               if issubclass(t, bool) or not issubclass(t, Number)}
+        if bad:
+            p = next(p for p in self._support if type(p) in bad)
+            raise NonNumericSupport(f"support point {p!r} is not numeric")
         return np.asarray(self._support, dtype=float)
 
     def mean(self) -> float:
@@ -218,10 +256,10 @@ class JointPmf2D:
         return self._probs
 
     def marginal_x(self) -> Pmf:
-        return Pmf(self._x_grid.tolist(), self._probs.sum(axis=1))
+        return Pmf._from_increasing(self._x_grid, self._probs.sum(axis=1))
 
     def marginal_y(self) -> Pmf:
-        return Pmf(self._y_grid.tolist(), self._probs.sum(axis=0))
+        return Pmf._from_increasing(self._y_grid, self._probs.sum(axis=0))
 
     def map_point(self) -> tuple[float, float]:
         """Highest-mass cell; ties resolve to the smallest x, then smallest y."""

@@ -183,10 +183,10 @@ def speedup_posterior(
 
     prior = to_pmf(exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True))
     support = np.asarray(prior.support, dtype=float)
+    liks = gaussian_mixture_density(np.array(primary)[:, None] - support[None, :], deltas, bw_delta)
     with np.errstate(divide="ignore"):
         log_post = np.log(prior.probs)
-        for d in primary:
-            lik = gaussian_mixture_density(d - support, deltas, bw_delta)
+        for lik in liks:  # row by row in data order, so the rounding matches iterate_update's
             log_post += np.log(lik)
     return Pmf.from_log_weights(prior.support, log_post)
 

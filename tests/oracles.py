@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with the standard library only
 (explicit loops, Fractions, math.factorial) so the oracles share no code
-path with the package under test.
+path with the package under test.  The one exception is
+`gaussian_mixture_oracle`, the dense NumPy form of the Gaussian-kernel sum,
+which the blocked kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -266,3 +268,13 @@ def weibull_fit_oracle(counts, prior_kind, grid):
     weights = [[math.exp(v - top) for v in row] for row in logw]
     norm = math.fsum(w for row in weights for w in row)
     return [[w / norm for w in row] for row in weights]
+
+
+def gaussian_mixture_oracle(points, samples, bandwidth: float):
+    """Kernel sums from one dense point-by-sample matrix, as first written."""
+    import numpy as np
+
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    s = np.asarray(samples, dtype=float)
+    z = (x[:, None] - s[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1)

@@ -441,3 +441,14 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_thread_pool_out():
+    # the kernel's thread pool is created, and its module imported, on first use only
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bayeskit.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

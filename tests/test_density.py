@@ -1,19 +1,29 @@
 """Tests for kernel density estimation and interval exclusion."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayeskit import density
 from bayeskit.density import (
     AUTO,
     DensityGrid,
     exclude_interval,
+    gaussian_mixture_density,
     kde,
     scott_bandwidth,
     to_pmf,
 )
 from bayeskit.errors import EmptySamples, EverythingExcluded, InvalidGrid
+
+from oracles import gaussian_mixture_oracle
 
 samples_strategy = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=40
@@ -148,3 +158,68 @@ class TestToPmf:
         d = kde([3.0], 0.5, (0, 6, 241))
         pmf = to_pmf(d)
         assert pmf.support[int(np.argmax(pmf.probs))] == pytest.approx(3.0)
+
+
+def _kernel_inputs(n_points, n_samples):
+    rng = np.random.default_rng(n_points * 7919 + n_samples)
+    return rng.normal(0.0, 4.0, n_points), rng.normal(0.0, 1.5, n_samples)
+
+
+class TestGaussianMixtureKernel:
+    """The blocked, threaded kernel against the dense one-liner, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_samples", [1, 48, 960, density._BLOCK_ELEMENTS + 1])
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_bit_identical_to_dense(self, monkeypatch, workers, n_samples, blocks, extra):
+        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        n_points = blocks * density._block_rows(n_samples) + extra
+        points, samples = _kernel_inputs(n_points, n_samples)
+        got = gaussian_mixture_density(points, samples, 0.37)
+        assert got.shape == (n_points,)
+        assert np.array_equal(got, gaussian_mixture_oracle(points, samples, 0.37))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_posterior_grid_points(self, monkeypatch, workers):
+        # the (primary, grid) array that speedup_posterior passes in one call
+        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        primary, deltas = _kernel_inputs(7, 960)
+        support = np.linspace(-40.0, 40.0, 1025)
+        points = primary[:, None] - support[None, :]
+        got = gaussian_mixture_density(points, deltas, 0.21)
+        want = np.stack([gaussian_mixture_oracle(d - support, deltas, 0.21) for d in primary])
+        assert got.shape == points.shape
+        assert np.array_equal(got, want)
+
+    def test_memory_stays_within_blocks(self):
+        # a dense 4096 x 4800 evaluation would hold several 157 MB temporaries
+        points, samples = _kernel_inputs(4096, 4800)
+        tracemalloc.start()
+        try:
+            gaussian_mixture_density(points, samples, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self):
+        # the child inherits the parent's executor object but none of its threads
+        script = """
+import os, signal, numpy as np
+from bayeskit import density
+density._usable_cpus = lambda: 2
+x, s = np.linspace(-3, 3, 4000), np.linspace(-1, 1, 100)
+want = density.gaussian_mixture_density(x, s, 0.3)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child dies instead of outliving the test
+    os._exit(0 if np.array_equal(density.gaussian_mixture_density(x, s, 0.3), want) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "0"

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bayeskit.density import kde, to_pmf
 from bayeskit.errors import AllZeroMass, InvalidMass, NonNumericSupport
 from bayeskit.pmf import JointPmf2D, Pmf, iterate_update, mixture, update
 
 from oracles import interval_oracle, quantile_oracle
+
+
+def assert_same_pmf(got, want):
+    # repr tells 0 from 0.0 and -0.0 from 0.0; tobytes compares the probabilities bit for bit
+    assert repr(got.support) == repr(want.support)
+    assert got.probs.tobytes() == want.probs.tobytes()
 
 
 def assert_pmf_close(pmf, expected: dict, tol=1e-12):
@@ -131,6 +138,13 @@ class TestSummaries:
         with pytest.raises(NonNumericSupport):
             Pmf({"ok": 1, "err": 1}).mean()
 
+    def test_mean_rejects_bool_support(self):
+        with pytest.raises(NonNumericSupport, match="False"):
+            Pmf([False, True, 2], [1, 1, 1]).mean()
+
+    def test_mean_of_mixed_numbers(self):
+        assert Pmf({Fraction(1, 2): 1, 1: 1, 2.5: 2}).mean() == pytest.approx(1.625, abs=1e-15)
+
     def test_median_point_mass(self):
         pmf = Pmf({3: 1})
         assert pmf.median() == 3
@@ -238,3 +252,67 @@ class TestJointPmf2D:
     def test_log_weights_all_inf_raises(self):
         with pytest.raises(AllZeroMass):
             JointPmf2D.from_log_weights([0, 1], [0, 1], np.full((2, 2), -np.inf))
+
+
+class TestIncreasingFastPath:
+    """`Pmf._from_increasing` gives exactly what the general constructor gives."""
+
+    @pytest.mark.parametrize("support", [
+        np.linspace(-3.0, 3.0, 4096),
+        np.array([-1.0, -0.0, 2.5]),
+        np.arange(5),
+        (0, 1.5, 2, 7),
+        [-0.0, 1, 2],
+        [False, True, 2],
+    ])
+    def test_matches_general_constructor(self, support):
+        weights = np.random.default_rng(len(support)).random(len(support))
+        points = support.tolist() if isinstance(support, np.ndarray) else support
+        assert_same_pmf(Pmf._from_increasing(support, weights), Pmf(points, weights))
+
+    @pytest.mark.parametrize("support", [
+        [0.0, float("nan"), 2.0],
+        [1.0, float("inf"), 3.0],
+        [-0.0, 0.0, 1.0],
+        [1.0, 1.0, 2.0],
+        [3.0, 1.0, 2.0],
+        ["a", "b", "c"],
+        [(0, 1), (0, 2), (1, 0)],
+        [(0,), (0, 2), (1,)],
+        [2**70, 2**70 + 1, 2**71],
+    ])
+    def test_other_supports_take_general_path(self, support):
+        weights = [0.2, 0.3, 0.5]
+        assert_same_pmf(Pmf._from_increasing(support, weights), Pmf(support, weights))
+
+    def test_weights_checked_like_general(self):
+        with pytest.raises(ValueError):
+            Pmf._from_increasing([0.0, 1.0], [1.0, -1.0])
+        with pytest.raises(ValueError):
+            Pmf._from_increasing([0.0, 1.0], [1.0, float("nan")])
+        with pytest.raises(ValueError):
+            Pmf._from_increasing([0.0, 1.0], [1.0])
+        with pytest.raises(AllZeroMass):
+            Pmf._from_increasing([0.0, 1.0], [0.0, 0.0])
+        assert_same_pmf(Pmf._from_increasing([0.0, 1.0], [-0.0, 2.0]), Pmf([0.0, 1.0], [-0.0, 2.0]))
+
+    @given(
+        points=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60, unique=True),
+        data=st.data(),
+    )
+    def test_random_increasing_supports(self, points, data):
+        points = sorted(points)
+        weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(points),
+                                     max_size=len(points)))
+        assert_same_pmf(Pmf._from_increasing(np.array(points), weights), Pmf(points, weights))
+        assert_same_pmf(Pmf._from_increasing(tuple(points), weights), Pmf(points, weights))
+
+    def test_callers_match_general_constructor(self):
+        d = kde([0.0, 0.4, 2.0], 0.5, (-3, 5, 513))
+        assert_same_pmf(to_pmf(d), Pmf(d.grid.tolist(), d.density * d.spacing))
+        support = tuple(d.grid.tolist())
+        logw = np.linspace(-50.0, 0.0, 513)
+        assert_same_pmf(Pmf.from_log_weights(support, logw), Pmf(support, np.exp(logw)))
+        joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.arange(1.0, 7.0).reshape(3, 2))
+        assert_same_pmf(joint.marginal_x(), Pmf([0.5, 1.0, 4.0], joint.probs.sum(axis=1)))
+        assert_same_pmf(joint.marginal_y(), Pmf([-0.0, 2.0], joint.probs.sum(axis=0)))
