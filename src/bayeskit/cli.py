@@ -99,7 +99,12 @@ def _switch(text: str) -> bool:
 
 
 def _bandwidth(text: str):
-    return AUTO if text == AUTO else float(text)
+    if text == AUTO:
+        return AUTO
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -193,7 +198,7 @@ class ComparePerformanceConfig(_Common):
     primary: str = _option("primary CSV: language,task,metric,value")
     calib: str = _option("calibration CSV: language,task,input_size,variant,metric,value")
     metric: str = _option("which metric to analyze", default="time", choices=("time", "memory"))
-    bandwidth: object = _option("KDE bandwidth: auto or a number", _bandwidth, AUTO)
+    bandwidth: object = _option("KDE bandwidth: auto or a positive number", _bandwidth, AUTO)
     ci: float = _option("credible-interval mass", float, 0.95)
     plots: bool = _option("also write per-pair posterior SVGs", _switch, False)
 

@@ -118,7 +118,8 @@ def _mixture_rows(x, s, bandwidth, out) -> None:
     for start in range(0, x.size, rows):
         n = min(rows, x.size - start)
         zb, kb = z[:n], k[:n]
-        np.subtract(x[start:start + n, None], s[None, :], out=zb)
+        np.copyto(zb, x[start:start + n, None])  # a contiguous subtract beats the outer one
+        np.subtract(zb, s, out=zb)
         np.divide(zb, bandwidth, out=zb)
         np.multiply(-0.5, zb, out=kb)
         np.multiply(kb, zb, out=kb)
@@ -171,7 +172,7 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     if x.size == 0:
         raise EmptySamples("kde of an empty sample set")
     bw = scott_bandwidth(x) if bandwidth == AUTO or bandwidth is None else float(bandwidth)
-    if bw <= 0:
+    if not bw > 0:  # also rejects NaN
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if grid_spec is None:
         grid_spec = default_grid(x, bw)

@@ -177,12 +177,16 @@ def _compositions(k: int, n: int) -> np.ndarray:
     Rows are in lexicographic order, which makes downstream sums
     reproducible.  The cached array is read-only.
     """
-    if k == 1:
-        rows = np.array([[n]])
-    else:
-        rows = np.concatenate(
-            [np.insert(_compositions(k - 1, n - c), 0, c, axis=1) for c in range(n + 1)]
-        )
+    rows = np.zeros((1, 0), dtype=int)
+    used = np.zeros(1, dtype=int)
+    for _ in range(k - 1):
+        # each prefix row, in order, takes every next part 0..n-used in turn
+        reps = n - used + 1
+        starts = np.cumsum(reps) - reps
+        part = np.arange(reps.sum()) - np.repeat(starts, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), part])
+        used = np.repeat(used, reps) + part
+    rows = np.column_stack([rows, n - used])
     rows.setflags(write=False)
     return rows
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_LEFT = 62.0
@@ -84,7 +86,9 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        ax = _MARGIN_LEFT + (np.asarray(xs, dtype=float) - x_lo) / (x_hi - x_lo) * plot_w
+        ay = _MARGIN_TOP + plot_h - (np.asarray(ys, dtype=float) - y_lo) / (y_hi - y_lo) * plot_h
+        points = " ".join(map("{:.2f},{:.2f}".format, ax.tolist(), ay.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

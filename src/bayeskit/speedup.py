@@ -167,6 +167,8 @@ def speedup_posterior(
     The prior is the kernel density of the calibration speedups with the
     impossible band (-1, 1] excluded; each primary observation d updates it
     with a likelihood proportional to the delta-scatter density at d - h.
+    The likelihood is evaluated only where the prior is positive.  Speedups
+    must be finite and bandwidths positive and finite (`InvalidValue`).
     """
     primary = [float(v) for v in primary]
     calib = [float(v) for v in calib]
@@ -176,18 +178,31 @@ def speedup_posterior(
     if not primary:
         raise EmptyPrimary("no primary speedups for this pair")
 
+    for name, values in (("primary", primary), ("calibration", calib), ("delta", deltas)):
+        bad = next((v for v in values if not math.isfinite(v)), None)
+        if bad is not None:
+            raise InvalidValue(f"non-finite {name} speedup {bad!r}")
+
     bw_prior = scott_bandwidth(calib) if bandwidth in (AUTO, None) else float(bandwidth)
     bw_delta = scott_bandwidth(deltas) if delta_bandwidth in (AUTO, None) else float(delta_bandwidth)
+    for name, bw in (("bandwidth", bw_prior), ("delta bandwidth", bw_delta)):
+        if not (math.isfinite(bw) and bw > 0):
+            raise InvalidValue(f"{name} must be positive and finite, got {bw!r}")
     if grid_spec is None:
         grid_spec = ratio_grid(primary + calib, bw_prior)
 
     prior = to_pmf(exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True))
-    support = np.asarray(prior.support, dtype=float)
+    # where the prior is 0 the log posterior is -inf whatever the data say, so the
+    # likelihood is evaluated only on the prior's support
+    live = prior.probs > 0
+    support = np.asarray(prior.support, dtype=float)[live]
     liks = gaussian_mixture_density(np.array(primary)[:, None] - support[None, :], deltas, bw_delta)
     with np.errstate(divide="ignore"):
         log_post = np.log(prior.probs)
+        live_post = log_post[live]
         for lik in liks:  # row by row in data order, so the rounding matches iterate_update's
-            log_post += np.log(lik)
+            live_post += np.log(lik)
+    log_post[live] = live_post
     return Pmf.from_log_weights(prior.support, log_post)
 
 

@@ -278,3 +278,31 @@ def gaussian_mixture_oracle(points, samples, bandwidth: float):
     s = np.asarray(samples, dtype=float)
     z = (x[:, None] - s[None, :]) / bandwidth
     return np.exp(-0.5 * z * z).sum(axis=1)
+
+
+def speedup_posterior_dense_oracle(primary, calib, deltas, grid_spec, bandwidth, delta_bandwidth):
+    """The speedup posterior with the likelihood evaluated on every grid column.
+
+    The prior and the normalisation are the package's; the kernel sums are
+    `gaussian_mixture_oracle`'s, one primary datum at a time, and their logs
+    are added to the log prior in data order, zero-prior columns included.
+    """
+    import numpy as np
+
+    from bayeskit.density import exclude_interval, kde, to_pmf
+    from bayeskit.pmf import Pmf
+
+    prior = to_pmf(exclude_interval(kde(calib, bandwidth, grid_spec), -1.0, 1.0, half_open=True))
+    support = np.asarray(prior.support, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_post = np.log(prior.probs)
+        for d in primary:
+            log_post += np.log(gaussian_mixture_oracle(float(d) - support, deltas, delta_bandwidth))
+    return Pmf.from_log_weights(prior.support, log_post)
+
+
+def compositions_oracle(k: int, n: int):
+    """All K-tuples of nonnegative integers summing to n, lexicographic, by recursion."""
+    if k == 1:
+        return [(n,)]
+    return [(c,) + rest for c in range(n + 1) for rest in compositions_oracle(k - 1, n - c)]

@@ -254,6 +254,16 @@ class TestComparePerformance:
         assert code == 1
         assert "bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.2"])
+    def test_non_positive_or_non_finite_bandwidth_names_flag(self, tmp_path, capsys, value):
+        code = run(
+            ["compare-performance", "--primary", DATA / "demo_primary.csv",
+             "--calib", DATA / "demo_bench.csv", "--out", tmp_path, "--bandwidth", value]
+        )
+        assert code == 1
+        assert f"--bandwidth: cannot parse '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_missing_metric_fails(self, tmp_path, capsys):
         calib = tmp_path / "calib.csv"
         calib.write_text(

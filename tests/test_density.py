@@ -79,6 +79,11 @@ class TestKde:
         with pytest.raises(EmptySamples):
             kde([], 1.0, (0, 1, 16))
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan")])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            kde([0.5], bandwidth, (0, 1, 16))
+
     @pytest.mark.parametrize("spec", [(1, 0, 16), (0, 1, 1), (0, 0, 16)])
     def test_bad_grid_spec(self, spec):
         with pytest.raises(InvalidGrid):
@@ -190,6 +195,16 @@ class TestGaussianMixtureKernel:
         want = np.stack([gaussian_mixture_oracle(d - support, deltas, 0.21) for d in primary])
         assert got.shape == points.shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_points_on_samples_and_signed_zeros(self, monkeypatch, workers):
+        # x - s is exactly +-0.0 wherever a point equals a sample
+        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        _, samples = _kernel_inputs(0, 960)
+        samples[:4] = [0.0, -0.0, 5e-324, -5e-324]
+        points = np.concatenate([samples[::3], [-0.0, 0.0, -5e-324], -samples[::7]])
+        got = gaussian_mixture_density(points, samples, 0.29)
+        assert np.array_equal(got, gaussian_mixture_oracle(points, samples, 0.29))
 
     def test_memory_stays_within_blocks(self):
         # a dense 4096 x 4800 evaluation would hold several 157 MB temporaries

@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from bayeskit.errors import (
 )
 from bayeskit.outcomes import (
     OutcomeCounts,
+    _compositions,
     OutcomeDistribution,
     baseline_distribution,
     bayes_factor,
@@ -30,7 +32,12 @@ from bayeskit.outcomes import (
     scheme_weight,
 )
 
-from oracles import bayes_factor_oracle, lcg_uniforms, log10_bayes_factor_oracle
+from oracles import (
+    bayes_factor_oracle,
+    compositions_oracle,
+    lcg_uniforms,
+    log10_bayes_factor_oracle,
+)
 
 SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
 SURVEY_T = OutcomeDistribution((0.18, 0.32, 0.50))
@@ -148,6 +155,13 @@ class TestEnumerateSimplex:
         second = enumerate_simplex(3, 0.5)
         assert first == second
         assert len({d.probs for d in first}) == len(first)
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 7), (3, 100), (4, 20), (5, 10), (3, 0), (1, 0)])
+    def test_compositions_match_recursive_oracle(self, k, n):
+        rows = _compositions(k, n)
+        assert rows.dtype == np.array([[n]]).dtype and rows.shape == (len(rows), k)
+        assert not rows.flags.writeable
+        assert rows.tolist() == [list(c) for c in compositions_oracle(k, n)]
 
     @pytest.mark.parametrize("step", [0.3, 0.0, -0.1, 1.5])
     def test_invalid_step(self, step):

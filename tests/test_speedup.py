@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bayeskit.errors import EmptyCalibration, EmptyPrimary, NonPositiveInput
+from bayeskit import speedup
+from bayeskit.density import exclude_interval, kde, to_pmf
+from bayeskit.errors import (
+    AllZeroMass,
+    EmptyCalibration,
+    EmptyPrimary,
+    EverythingExcluded,
+    InvalidGrid,
+    InvalidValue,
+    NonPositiveInput,
+)
 from bayeskit.pmf import CredibleInterval
 from bayeskit.speedup import (
     NOT_SIGNIFICANT,
@@ -24,7 +34,7 @@ from bayeskit.speedup import (
     speedup_posterior,
 )
 
-from oracles import deltas_oracle, ratio_oracle
+from oracles import deltas_oracle, ratio_oracle, speedup_posterior_dense_oracle
 
 positive = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
 
@@ -229,6 +239,100 @@ class TestSpeedupPosterior:
     def test_empty_primary_raises(self):
         with pytest.raises(EmptyPrimary):
             speedup_posterior([], self.CALIB, self.DELTAS)
+
+    @pytest.mark.parametrize("value", [-0.2, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["bandwidth", "delta_bandwidth"])
+    def test_bad_bandwidth_named(self, which, value):
+        with pytest.raises(InvalidValue, match=f"{which.replace('_', ' ')} must be positive"):
+            speedup_posterior(self.PRIMARY, self.CALIB, self.DELTAS, **{which: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("which", ["primary", "calibration", "delta"])
+    def test_non_finite_speedup_named(self, which, value):
+        data = {"primary": list(self.PRIMARY), "calibration": list(self.CALIB),
+                "delta": list(self.DELTAS)}
+        data[which][1] = value
+        with pytest.raises(InvalidValue, match=f"non-finite {which} speedup"):
+            speedup_posterior(data["primary"], data["calibration"], data["delta"])
+
+
+def signed_ratios(largest):
+    return st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]),
+                     st.floats(1.0, largest))
+
+
+def _dense_or_error(primary, calib, deltas, grid, bw, bw_delta):
+    try:
+        return speedup_posterior_dense_oracle(primary, calib, deltas, grid, bw, bw_delta)
+    except (AllZeroMass, EverythingExcluded, InvalidGrid) as exc:
+        return type(exc)
+
+
+class TestPriorSupportOnly:
+    """The likelihood is evaluated only where the prior is positive, with the same bits."""
+
+    CALIB = [1.6, 1.8, 2.0, 2.2, 2.5]
+    DELTAS = [-0.3, -0.1, 0.0, 0.1, 0.2, 0.3, -0.2]
+    PRIMARY = [1.9, 2.1, 2.3]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        primary=st.lists(signed_ratios(40.0), min_size=1, max_size=5),
+        calib=st.lists(signed_ratios(8.0), min_size=1, max_size=6),
+        deltas=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=12),
+        lo=st.floats(-60.0, -0.5),
+        hi=st.floats(0.5, 60.0),
+        n_points=st.integers(16, 400),
+        bw=st.floats(0.02, 2.0),
+        bw_delta=st.floats(0.005, 1.0),
+    )
+    # prior zero at both grid edges and in (-1, 1]; some live cells' likelihood underflows to 0
+    @example(primary=[2.0, 2.2], calib=[2.0, 2.4], deltas=[-0.1, 0.0, 0.1], lo=-40.0, hi=40.0,
+             n_points=401, bw=0.1, bw_delta=0.05)
+    # a prior wide enough that data far from part of its support underflow there
+    @example(primary=[30.0], calib=[-3.0, 5.0], deltas=[0.2, -0.2], lo=-60.0, hi=60.0,
+             n_points=257, bw=2.0, bw_delta=0.01)
+    def test_matches_dense_oracle(self, primary, calib, deltas, lo, hi, n_points, bw, bw_delta):
+        grid = (lo, hi, n_points)
+        want = _dense_or_error(primary, calib, deltas, grid, bw, bw_delta)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+            return
+        got = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.probs, want.probs)
+
+    def test_example_has_dead_edges_band_and_underflowing_live_cells(self):
+        # the first explicit example above really covers the three cases
+        grid = (-40.0, 40.0, 401)
+        prior = to_pmf(exclude_interval(kde([2.0, 2.4], 0.1, grid), -1, 1))
+        live = prior.probs > 0
+        support = np.asarray(prior.support)
+        band = (support > -1) & (support <= 1)
+        assert not live[0] and not live[-1] and band.any() and not live[band].any()
+        lik = speedup.gaussian_mixture_density(2.0 - support[live], [-0.1, 0.0, 0.1], 0.05)
+        assert (lik == 0).any() and (lik > 0).any()
+        post = speedup_posterior([2.0, 2.2], [2.0, 2.4], [-0.1, 0.0, 0.1], grid, 0.1, 0.05)
+        assert (np.asarray(post.probs)[live] == 0).any()
+
+    def test_kernel_sees_only_prior_positive_columns(self, monkeypatch):
+        seen = []
+        real = speedup.gaussian_mixture_density
+
+        def spy(points, samples, bandwidth):
+            seen.append(np.array(points))
+            return real(points, samples, bandwidth)
+
+        monkeypatch.setattr(speedup, "gaussian_mixture_density", spy)
+        grid = (-8.0, 8.0, 321)
+        speedup_posterior(self.PRIMARY, self.CALIB, self.DELTAS, grid, 0.1, 0.25)
+        prior = to_pmf(exclude_interval(kde(self.CALIB, 0.1, grid), -1, 1))
+        live = prior.probs > 0
+        assert 0 < live.sum() < live.size
+        [points] = seen
+        support = np.asarray(prior.support)[live]
+        assert np.array_equal(points, np.array(self.PRIMARY)[:, None] - support)
 
 
 class TestClassify:
