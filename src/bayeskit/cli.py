@@ -85,6 +85,20 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]", "_", name.replace("#", "sharp"))
 
 
+def _plot_names(pairs) -> dict:
+    """The SVG file name of each language pair; `InvalidValue` if two pairs would share one."""
+    owners = {}
+    for l1, l2 in pairs:
+        name = f"{_safe_name(l1)}_vs_{_safe_name(l2)}.svg"
+        if name in owners:
+            o1, o2 = owners[name]
+            raise InvalidValue(
+                f"--plots: pairs {o1!r} vs {o2!r} and {l1!r} vs {l2!r} would both be written to {name}"
+            )
+        owners[name] = (l1, l2)
+    return {pair: name for name, pair in owners.items()}
+
+
 # -- options -----------------------------------------------------------------
 #
 # Each subcommand's config dataclass is the only declaration of its options.
@@ -322,21 +336,21 @@ def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
     primary = primary_all[cfg.metric]
 
     langs = sorted(set(calib.languages()) & set(primary.languages()))
+    pairs = [(l1, l2) for i, l1 in enumerate(langs) for l2 in langs[i + 1 :]]
+    plot_names = _plot_names(pairs) if cfg.plots else {}
     summaries = []
     out_dir = Path(cfg.out)
-    for i, l1 in enumerate(langs):
-        for l2 in langs[i + 1 :]:
-            post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
-            summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
-            if cfg.plots:
-                name = f"{_safe_name(l1)}_vs_{_safe_name(l2)}.svg"
-                chart = line_chart_svg(
-                    [(f"{l1} vs {l2}", list(post.support), list(post.probs))],
-                    f"Speedup posterior: {l1} vs {l2}",
-                    "speedup ratio",
-                    "probability",
-                )
-                _write_text(out_dir / "plots" / name, chart)
+    for l1, l2 in pairs:
+        post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
+        summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
+        if cfg.plots:
+            chart = line_chart_svg(
+                [(f"{l1} vs {l2}", post.support, post.probs)],
+                f"Speedup posterior: {l1} vs {l2}",
+                "speedup ratio",
+                "probability",
+            )
+            _write_text(out_dir / "plots" / plot_names[(l1, l2)], chart)
 
     rows = [
         [
@@ -422,7 +436,7 @@ def run_fit_defects(cfg: FitDefectsConfig) -> dict:
     _write_text(
         out_dir / "marginal_alpha.svg",
         line_chart_svg(
-            [("scale posterior", list(marg_a.support), list(marg_a.probs))],
+            [("scale posterior", marg_a.support, marg_a.probs)],
             "Marginal posterior of the Weibull scale",
             "alpha",
             "probability",
@@ -431,7 +445,7 @@ def run_fit_defects(cfg: FitDefectsConfig) -> dict:
     _write_text(
         out_dir / "marginal_beta.svg",
         line_chart_svg(
-            [("shape posterior", list(marg_b.support), list(marg_b.probs))],
+            [("shape posterior", marg_b.support, marg_b.probs)],
             "Marginal posterior of the Weibull shape",
             "beta",
             "probability",
@@ -502,7 +516,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig) -> dict:
     _write_text(
         out_dir / f"at_most_{cfg.at_most}.svg",
         line_chart_svg(
-            [(f"at most {cfg.at_most} bugs", list(pmf.support), list(pmf.probs))],
+            [(f"at most {cfg.at_most} bugs", pmf.support, pmf.probs)],
             f"Posterior of P[class has at most {cfg.at_most} bugs]",
             "probability of at most N bugs",
             "posterior mass",

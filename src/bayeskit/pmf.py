@@ -59,7 +59,7 @@ class Pmf:
     so relative proportions are all that matters.
     """
 
-    __slots__ = ("_support", "_probs")
+    __slots__ = ("_support", "_probs", "_values")
 
     def __init__(self, support, weights=None):
         if weights is None:
@@ -86,6 +86,7 @@ class Pmf:
         probs.flags.writeable = False
         self._support = tuple(points)
         self._probs = probs
+        self._values = None
 
     @classmethod
     def from_log_weights(cls, support: Sequence, log_weights: np.ndarray) -> "Pmf":
@@ -100,7 +101,8 @@ class Pmf:
         array (whose points become Python numbers, as ``tolist`` gives them) or a
         sequence (whose points are kept), and the weights are finite and
         nonnegative.  Anything else, such as NaN or repeated points, takes the
-        general constructor.
+        general constructor.  An array support is also kept, read-only and as
+        floats, for `mean`.
         """
         points = support.tolist() if isinstance(support, np.ndarray) else support
         w = np.asarray(weights, dtype=float) + 0.0  # a fresh array; -0.0 turns 0.0 as in the dict
@@ -114,6 +116,10 @@ class Pmf:
         pmf = cls.__new__(cls)
         pmf._support = tuple(points)
         pmf._probs = w
+        pmf._values = None
+        if isinstance(support, np.ndarray):
+            pmf._values = support.astype(float)
+            pmf._values.flags.writeable = False
         return pmf
 
     # -- accessors --------------------------------------------------------
@@ -146,6 +152,8 @@ class Pmf:
     # -- summaries ----------------------------------------------------------
 
     def _numeric_support(self) -> np.ndarray:
+        if self._values is not None:
+            return self._values
         bad = {t for t in set(map(type, self._support))
                if issubclass(t, bool) or not issubclass(t, Number)}
         if bad:

@@ -191,11 +191,12 @@ def speedup_posterior(
     if grid_spec is None:
         grid_spec = ratio_grid(primary + calib, bw_prior)
 
-    prior = to_pmf(exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True))
+    density = exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True)
+    prior = to_pmf(density)
     # where the prior is 0 the log posterior is -inf whatever the data say, so the
     # likelihood is evaluated only on the prior's support
     live = prior.probs > 0
-    support = np.asarray(prior.support, dtype=float)[live]
+    support = density.grid[live]
     liks = gaussian_mixture_density(np.array(primary)[:, None] - support[None, :], deltas, bw_delta)
     with np.errstate(divide="ignore"):
         log_post = np.log(prior.probs)
@@ -203,7 +204,7 @@ def speedup_posterior(
         for lik in liks:  # row by row in data order, so the rounding matches iterate_update's
             live_post += np.log(lik)
     log_post[live] = live_post
-    return Pmf.from_log_weights(prior.support, log_post)
+    return Pmf.from_log_weights(density.grid, log_post)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,37 @@ class TestComparePerformance:
         assert len(svgs) == 28
         xml.dom.minidom.parseString(svgs[0].read_text())
 
+    @staticmethod
+    def _write_languages(tmp_path, langs):
+        primary, calib = tmp_path / "primary.csv", tmp_path / "calib.csv"
+        primary.write_text("language,task,metric,value\n" + "".join(
+            f"{lang},t{t},time,{1.0 + i + 0.3 * t}\n" for i, lang in enumerate(langs) for t in (1, 2)
+        ))
+        calib.write_text("language,task,input_size,variant,metric,value\n" + "".join(
+            f"{lang},t{t},{size},v{v},time,{(1.0 + i + 0.3 * t + 0.1 * v) * size / 100}\n"
+            for i, lang in enumerate(langs) for t in (1, 2) for size in (100, 1000) for v in (1, 2)
+        ))
+        return ["compare-performance", "--primary", primary, "--calib", calib, "--plots"]
+
+    @pytest.mark.parametrize("langs,first,second", [
+        (["A B", "A_B", "C"], "'A B' vs 'C'", "'A_B' vs 'C'"),
+        (["A", "A_vs_B", "B_vs_C", "C"], "'A' vs 'B_vs_C'", "'A_vs_B' vs 'C'"),
+    ])
+    def test_plot_name_collision_fails_before_writing(self, tmp_path, capsys, langs, first, second):
+        out = tmp_path / "out"
+        assert run([*self._write_languages(tmp_path, langs), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bayeskit: error: --plots:")
+        assert first in err and second in err
+        assert not out.exists()
+
+    def test_distinct_plot_names_write_one_svg_per_pair(self, tmp_path):
+        out = tmp_path / "out"
+        assert run([*self._write_languages(tmp_path, ["A B", "C#", "C"]), "--out", out]) == 0
+        assert sorted(p.name for p in (out / "plots").iterdir()) == [
+            "A_B_vs_C.svg", "A_B_vs_Csharp.svg", "C_vs_Csharp.svg"]
+        assert len(read_csv(out / "summary.csv")) - 1 == 3
+
     def test_bad_bandwidth_fails(self, tmp_path, capsys):
         code = run(
             ["compare-performance", "--primary", DATA / "demo_primary.csv",

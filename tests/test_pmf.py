@@ -14,10 +14,18 @@ from bayeskit.pmf import JointPmf2D, Pmf, iterate_update, mixture, update
 from oracles import interval_oracle, quantile_oracle
 
 
+def _mean_or_error(pmf):
+    try:
+        return repr(pmf.mean())
+    except NonNumericSupport:
+        return "non-numeric"
+
+
 def assert_same_pmf(got, want):
     # repr tells 0 from 0.0 and -0.0 from 0.0; tobytes compares the probabilities bit for bit
     assert repr(got.support) == repr(want.support)
     assert got.probs.tobytes() == want.probs.tobytes()
+    assert _mean_or_error(got) == _mean_or_error(want)
 
 
 def assert_pmf_close(pmf, expected: dict, tol=1e-12):
