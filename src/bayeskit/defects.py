@@ -37,14 +37,14 @@ DEFAULT_E_STEPS = (8, 6)
 
 @dataclass(frozen=True)
 class WeibullParams:
-    """Scale alpha and shape beta, both strictly positive."""
+    """Scale alpha and shape beta, both positive and finite."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise NonPositiveParams(f"alpha and beta must be positive, got {self}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise NonPositiveParams(f"alpha and beta must be positive and finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,10 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     if grid is None:
         grid = (DEFAULT_ALPHA_RANGE, DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS)
     (a_lo, a_hi), (b_lo, b_hi), (n_a, n_b) = grid
-    if not (0 < a_lo <= a_hi and 0 < b_lo <= b_hi) or n_a < 1 or n_b < 1:
-        raise NonPositiveParams(f"bad parameter grid {grid!r}")
+    if not (0 < a_lo <= a_hi < math.inf and 0 < b_lo <= b_hi < math.inf) or n_a < 1 or n_b < 1:
+        raise NonPositiveParams(
+            f"bad parameter grid {grid!r}: bounds must be positive, finite and ordered"
+        )
     alphas = np.geomspace(a_lo, a_hi, int(n_a))
     log_a = np.log(alphas)[:, None]
     betas = np.linspace(b_lo, b_hi, int(n_b))
@@ -180,8 +182,8 @@ def pareto_fraction(params: WeibullParams, x_max: float) -> float:
 
     cdf(b) = 0.8 solves to b = alpha * ln(5)^(1/beta); returns b / x_max.
     """
-    if not x_max > 0:
-        raise NonPositiveParams(f"x_max must be positive, got {x_max!r}")
+    if not 0 < x_max < math.inf:
+        raise NonPositiveParams(f"x_max must be positive and finite, got {x_max!r}")
     return params.alpha * math.log(5.0) ** (1.0 / params.beta) / x_max
 
 
@@ -244,7 +246,7 @@ def total_bugs_posterior(
     """
     grid = EffectivenessGrid((e, e), (strong_e, strong_e), 1, 1)
     _, _, cells, _ = _total_bug_cells(params, d, grid, n_max)
-    return Pmf(list(range(n_max + 1)), cells[0, 0])
+    return Pmf(range(n_max + 1), cells[0, 0])
 
 
 def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_max: int):
@@ -289,7 +291,7 @@ def class_total_bugs(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     _, _, cells, loglik = _total_bug_cells(params, d, grid, n_max)
     weights = _shift_exp(loglik)
     mix = np.tensordot(weights / weights.sum(), cells, axes=2)
-    return Pmf(list(range(n_max + 1)), mix)
+    return Pmf(range(n_max + 1), mix)
 
 
 def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> Pmf:
@@ -310,13 +312,13 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     flat_vals = values.ravel()
     flat_mass = joint.probs.ravel()
     if bins is None:
-        return Pmf(flat_vals.tolist(), flat_mass)
+        return Pmf(flat_vals, flat_mass)
     edges = np.linspace(0.0, 1.0, bins + 1)
     centers = (edges[:-1] + edges[1:]) / 2.0
     idx = np.clip(np.searchsorted(edges, flat_vals, side="right") - 1, 0, bins - 1)
     mass = np.zeros(bins)
     np.add.at(mass, idx, flat_mass)
-    return Pmf(centers.tolist(), mass)
+    return Pmf(centers, mass)
 
 
 def default_n_max(d: int) -> int:

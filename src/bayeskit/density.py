@@ -204,4 +204,4 @@ def exclude_interval(d: DensityGrid, lo: float, hi: float, half_open: bool = Tru
 
 def to_pmf(d: DensityGrid) -> Pmf:
     """Discretize a density grid: mass at each grid point is density * spacing."""
-    return Pmf._from_increasing(d.grid, d.density * d.spacing)
+    return Pmf(d.grid, d.density * d.spacing)

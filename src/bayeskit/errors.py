@@ -85,7 +85,7 @@ class EmptyPrimary(AnalysisError):
 
 
 class NonPositiveParams(AnalysisError):
-    """Weibull parameters (and related scale inputs) must be positive."""
+    """Weibull parameters (and related scale inputs) must be positive and finite."""
 
 
 class InvalidProbability(AnalysisError):

@@ -4,6 +4,12 @@ All distributions live on finite, sorted supports.  Updates are computed in
 log space and exponentiated once at normalization time, so products of many
 small likelihoods do not underflow.  Instances are immutable after
 construction and safe to share across threads.
+
+`Pmf` has one constructor with two routes to the same result.  Strictly
+increasing finite real points with finite, nonnegative weights (every grid
+posterior) are normalized as given, with no dict and no sort; any other input
+is accumulated in a dict and sorted.  An ndarray support's points are the
+Python numbers that ``tolist`` gives.
 """
 
 from __future__ import annotations
@@ -24,21 +30,30 @@ def _shift_exp(log_weights, axis=None) -> np.ndarray:
     """
     logw = np.asarray(log_weights, dtype=float)
     top = logw.max(axis=axis, keepdims=True) if logw.size else -np.inf
+    if not np.all(top < np.inf):  # a slice's max is NaN or +inf where the slice holds one
+        raise ValueError("a log-weight is NaN or +inf")
     if not np.isfinite(top).all():
         raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
     return np.exp(logw - top)
 
 
-def _increasing_reals(points, shape) -> bool:
-    """Whether `points` make a 1-D array of `shape` holding strictly increasing finite reals."""
+def _array_weights(support, weights):
+    """`weights` as a fresh float array if the array route takes the pair, else None.
+
+    It does where the weights are finite and nonnegative and `support` is as
+    many strictly increasing finite reals.  Whatever does not even make an
+    array (ragged, non-numeric) is left for the dict route to reject.
+    """
     try:
-        x = np.asarray(points)
-    except ValueError:  # ragged: not an array at all
-        return False
-    if x.dtype.kind not in "iuf" or x.shape != shape or x.ndim != 1:
-        return False
+        w = np.asarray(weights, dtype=float) + 0.0  # a fresh array; -0.0 turns 0.0 as in the dict
+        x = np.asarray(support)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if x.dtype.kind not in "iuf" or x.ndim != 1 or x.shape != w.shape or not w.size:
+        return None
     x = x.astype(float, copy=False)
-    return bool(np.isfinite(x).all() and (np.diff(x) > 0).all())
+    ok = np.isfinite(x).all() and (np.diff(x) > 0).all() and np.isfinite(w).all() and (w >= 0).all()
+    return w if ok else None
 
 
 @dataclass(frozen=True)
@@ -56,29 +71,36 @@ class Pmf:
     Accepts a mapping ``{point: weight}``, an iterable of ``(point, weight)``
     pairs, or separate ``support``/``weights`` sequences.  Weights must be
     nonnegative with a positive total; they are normalized on construction,
-    so relative proportions are all that matters.
+    so relative proportions are all that matters.  On the array route an
+    ndarray support is also kept, read-only and as floats, for `mean`.
     """
 
     __slots__ = ("_support", "_probs", "_values")
 
     def __init__(self, support, weights=None):
-        if weights is None:
-            if isinstance(support, Mapping):
-                items = list(support.items())
+        points = support.tolist() if isinstance(support, np.ndarray) else support
+        probs = None if weights is None else _array_weights(support, weights)
+        self._values = None
+        if probs is None:
+            if weights is not None:
+                items = list(zip(points, weights, strict=True))
+            elif isinstance(points, Mapping):
+                items = list(points.items())
             else:
-                items = [(p, w) for p, w in support]
-        else:
-            items = list(zip(support, weights, strict=True))
-        if not items:
-            raise AllZeroMass("cannot build a pmf from an empty support")
-        acc: dict[Any, float] = {}
-        for point, weight in items:
-            w = float(weight)
-            if not np.isfinite(w) or w < 0:
-                raise ValueError(f"weight for {point!r} must be finite and >= 0, got {weight!r}")
-            acc[point] = acc.get(point, 0.0) + w
-        points = sorted(acc)
-        probs = np.array([acc[p] for p in points], dtype=float)
+                items = [(p, w) for p, w in points]
+            if not items:
+                raise AllZeroMass("cannot build a pmf from an empty support")
+            acc: dict[Any, float] = {}
+            for point, weight in items:
+                w = float(weight)
+                if not np.isfinite(w) or w < 0:
+                    raise ValueError(f"weight for {point!r} must be finite and >= 0, got {weight!r}")
+                acc[point] = acc.get(point, 0.0) + w
+            points = sorted(acc)
+            probs = np.array([acc[p] for p in points], dtype=float)
+        elif isinstance(support, np.ndarray):
+            self._values = support.astype(float)
+            self._values.flags.writeable = False
         total = probs.sum()
         if total <= 0.0:
             raise AllZeroMass("all weights are zero")
@@ -86,41 +108,11 @@ class Pmf:
         probs.flags.writeable = False
         self._support = tuple(points)
         self._probs = probs
-        self._values = None
 
     @classmethod
     def from_log_weights(cls, support: Sequence, log_weights: np.ndarray) -> "Pmf":
         """Normalize log-domain weights into a pmf (shift-by-max for stability)."""
-        return cls._from_increasing(support, _shift_exp(log_weights))
-
-    @classmethod
-    def _from_increasing(cls, support, weights) -> "Pmf":
-        """``cls(support, weights)``, without the dict and the sort where they change nothing.
-
-        That is where `support` is strictly increasing finite real numbers, as an
-        array (whose points become Python numbers, as ``tolist`` gives them) or a
-        sequence (whose points are kept), and the weights are finite and
-        nonnegative.  Anything else, such as NaN or repeated points, takes the
-        general constructor.  An array support is also kept, read-only and as
-        floats, for `mean`.
-        """
-        points = support.tolist() if isinstance(support, np.ndarray) else support
-        w = np.asarray(weights, dtype=float) + 0.0  # a fresh array; -0.0 turns 0.0 as in the dict
-        if not (_increasing_reals(support, w.shape) and np.isfinite(w).all() and (w >= 0).all()):
-            return cls(points, weights)
-        total = w.sum()
-        if total <= 0.0:
-            raise AllZeroMass("all weights are zero")
-        w /= total
-        w.flags.writeable = False
-        pmf = cls.__new__(cls)
-        pmf._support = tuple(points)
-        pmf._probs = w
-        pmf._values = None
-        if isinstance(support, np.ndarray):
-            pmf._values = support.astype(float)
-            pmf._values.flags.writeable = False
-        return pmf
+        return cls(support, _shift_exp(log_weights))
 
     # -- accessors --------------------------------------------------------
 
@@ -182,11 +174,15 @@ class Pmf:
         return CredibleInterval(self.quantile(tail), self.quantile(1.0 - tail), mass)
 
 
+def _check_likelihoods(lik: np.ndarray) -> None:
+    if not ((lik >= 0) & (lik < np.inf)).all():  # NaN fails both comparisons
+        raise ValueError("likelihood values must be finite and nonnegative")
+
+
 def update(prior: Pmf, likelihood: Callable[[Any], float]) -> Pmf:
     """Bayes update: posterior mass at h is proportional to prior[h] * likelihood(h)."""
     lik = np.array([float(likelihood(h)) for h in prior.support], dtype=float)
-    if (lik < 0).any():
-        raise ValueError("likelihood values must be nonnegative")
+    _check_likelihoods(lik)
     with np.errstate(divide="ignore"):
         log_post = np.log(prior.probs) + np.log(lik)
     return Pmf.from_log_weights(prior.support, log_post)
@@ -202,8 +198,7 @@ def iterate_update(prior: Pmf, data: Iterable, likelihood: Callable[[Any, Any], 
         logw = np.log(prior.probs).copy()
         for datum in data:
             lik = np.array([float(likelihood(datum, h)) for h in prior.support], dtype=float)
-            if (lik < 0).any():
-                raise ValueError("likelihood values must be nonnegative")
+            _check_likelihoods(lik)
             logw += np.log(lik)
     return Pmf.from_log_weights(prior.support, logw)
 
@@ -264,10 +259,10 @@ class JointPmf2D:
         return self._probs
 
     def marginal_x(self) -> Pmf:
-        return Pmf._from_increasing(self._x_grid, self._probs.sum(axis=1))
+        return Pmf(self._x_grid, self._probs.sum(axis=1))
 
     def marginal_y(self) -> Pmf:
-        return Pmf._from_increasing(self._y_grid, self._probs.sum(axis=0))
+        return Pmf(self._y_grid, self._probs.sum(axis=0))
 
     def map_point(self) -> tuple[float, float]:
         """Highest-mass cell; ties resolve to the smallest x, then smallest y."""

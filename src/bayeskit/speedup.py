@@ -23,7 +23,7 @@ from .errors import (
     InvalidValue,
     NonPositiveInput,
 )
-from .density import AUTO, exclude_interval, gaussian_mixture_density, kde, scott_bandwidth, to_pmf
+from .density import AUTO, exclude_interval, gaussian_mixture_density, kde, scott_bandwidth
 from .pmf import CredibleInterval, Pmf
 
 SIGNIFICANT, WEAK, NOT_SIGNIFICANT = "significant", "weak", "not"
@@ -192,14 +192,15 @@ def speedup_posterior(
         grid_spec = ratio_grid(primary + calib, bw_prior)
 
     density = exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True)
-    prior = to_pmf(density)
+    prior = density.density * density.spacing
+    prior /= prior.sum()  # the masses to_pmf gives, without building that pmf
     # where the prior is 0 the log posterior is -inf whatever the data say, so the
     # likelihood is evaluated only on the prior's support
-    live = prior.probs > 0
+    live = prior > 0
     support = density.grid[live]
     liks = gaussian_mixture_density(np.array(primary)[:, None] - support[None, :], deltas, bw_delta)
     with np.errstate(divide="ignore"):
-        log_post = np.log(prior.probs)
+        log_post = np.log(prior)
         live_post = log_post[live]
         for lik in liks:  # row by row in data order, so the rounding matches iterate_update's
             live_post += np.log(lik)

@@ -447,6 +447,29 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"bayeskit: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("estimate-total-bugs", ["--alpha", "inf", "--beta", "1"], "positive and finite"),
+            ("estimate-total-bugs", ["--alpha", "5", "--beta", "inf"], "positive and finite"),
+            ("fit-defects", ["--alpha-range", "1,inf"], "bad parameter grid"),
+            ("fit-defects", ["--beta-range", "0.1,inf"], "bad parameter grid"),
+            ("fit-defects", ["--pareto-xmax", "inf"], "x_max must be positive and finite"),
+        ],
+    )
+    def test_non_finite_weibull_inputs_fail_before_writing(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "out"
+        args = [command, "--data", DATA / "demo_bugs.csv", "--out", out, *flags]
+        if command == "fit-defects":
+            args += ["--grid", "20x10"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bayeskit: error:") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_config_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

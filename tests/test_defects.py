@@ -61,6 +61,11 @@ class TestWeibullPrimitives:
         with pytest.raises(NonPositiveParams):
             WeibullParams(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 1), (1, math.inf), (math.nan, 1), (1, math.nan)])
+    def test_non_finite_params_rejected(self, alpha, beta):
+        with pytest.raises(NonPositiveParams, match="positive and finite"):
+            WeibullParams(alpha, beta)
+
     @given(
         alpha=st.floats(min_value=0.1, max_value=50),
         beta=st.floats(min_value=0.2, max_value=4),
@@ -154,6 +159,15 @@ class TestFitWeibull:
         with pytest.raises(NonPositiveParams):
             fit_weibull_posterior([1], "uniform", ((0, 1), (1, 2), (4, 4)))
 
+    @pytest.mark.parametrize("grid", [
+        ((1, math.inf), (0.1, 3), (4, 4)),
+        ((1, 20), (0.1, math.inf), (4, 4)),
+        ((1, math.nan), (0.1, 3), (4, 4)),
+    ])
+    def test_non_finite_grid_bound_rejected(self, grid):
+        with pytest.raises(NonPositiveParams, match="finite"):
+            fit_weibull_posterior([1, 2, 3], "uniform", grid)
+
 
 class TestParetoFraction:
     def test_shape_one_closed_form(self):
@@ -173,6 +187,11 @@ class TestParetoFraction:
     def test_nonpositive_xmax_rejected(self):
         with pytest.raises(NonPositiveParams):
             pareto_fraction(P_TYPICAL, 0.0)
+
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan])
+    def test_non_finite_xmax_rejected(self, x_max):
+        with pytest.raises(NonPositiveParams, match="positive and finite"):
+            pareto_fraction(P_TYPICAL, x_max)
 
 
 class TestBinomial:

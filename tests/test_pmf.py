@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bayeskit.defects import (
+    EffectivenessGrid,
+    WeibullParams,
+    class_total_bugs,
+    derived_prob_at_most,
+    fit_weibull_posterior,
+    total_bugs_posterior,
+)
 from bayeskit.density import kde, to_pmf
 from bayeskit.errors import AllZeroMass, InvalidMass, NonNumericSupport
 from bayeskit.pmf import JointPmf2D, Pmf, iterate_update, mixture, update
@@ -263,7 +271,16 @@ class TestJointPmf2D:
 
 
 class TestIncreasingFastPath:
-    """`Pmf._from_increasing` gives exactly what the general constructor gives."""
+    """`Pmf(support, weights)` on the array route gives exactly what the dict route gives.
+
+    The reference is the pairs form ``Pmf(list(zip(points, weights)))``, which
+    always takes the dict route.
+    """
+
+    @staticmethod
+    def dict_route(support, weights):
+        points = support.tolist() if isinstance(support, np.ndarray) else support
+        return Pmf(list(zip(points, weights)))
 
     @pytest.mark.parametrize("support", [
         np.linspace(-3.0, 3.0, 4096),
@@ -275,8 +292,7 @@ class TestIncreasingFastPath:
     ])
     def test_matches_general_constructor(self, support):
         weights = np.random.default_rng(len(support)).random(len(support))
-        points = support.tolist() if isinstance(support, np.ndarray) else support
-        assert_same_pmf(Pmf._from_increasing(support, weights), Pmf(points, weights))
+        assert_same_pmf(Pmf(support, weights), self.dict_route(support, weights))
 
     @pytest.mark.parametrize("support", [
         [0.0, float("nan"), 2.0],
@@ -291,18 +307,57 @@ class TestIncreasingFastPath:
     ])
     def test_other_supports_take_general_path(self, support):
         weights = [0.2, 0.3, 0.5]
-        assert_same_pmf(Pmf._from_increasing(support, weights), Pmf(support, weights))
+        assert_same_pmf(Pmf(support, weights), self.dict_route(support, weights))
 
     def test_weights_checked_like_general(self):
         with pytest.raises(ValueError):
-            Pmf._from_increasing([0.0, 1.0], [1.0, -1.0])
+            Pmf([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
-            Pmf._from_increasing([0.0, 1.0], [1.0, float("nan")])
+            Pmf([0.0, 1.0], [1.0, float("nan")])
         with pytest.raises(ValueError):
-            Pmf._from_increasing([0.0, 1.0], [1.0])
+            Pmf([0.0, 1.0], [1.0])
         with pytest.raises(AllZeroMass):
-            Pmf._from_increasing([0.0, 1.0], [0.0, 0.0])
-        assert_same_pmf(Pmf._from_increasing([0.0, 1.0], [-0.0, 2.0]), Pmf([0.0, 1.0], [-0.0, 2.0]))
+            Pmf([0.0, 1.0], [0.0, 0.0])
+        assert_same_pmf(Pmf([0.0, 1.0], [-0.0, 2.0]), self.dict_route([0.0, 1.0], [-0.0, 2.0]))
+        assert_same_pmf(Pmf([0.0, 1.0], ["1", "3"]), self.dict_route([0.0, 1.0], ["1", "3"]))
+        for empty in ([], np.array([])):
+            with pytest.raises(AllZeroMass, match="empty support"):
+                Pmf(empty, empty)
+
+    @pytest.mark.parametrize("weights,error", [
+        ([[1], [2, 3]], TypeError),  # ragged: float() of a list
+        (["a", "b"], ValueError),
+        ([None, 1.0], TypeError),
+        ([2**1100, 1], OverflowError),
+    ])
+    def test_unusable_weights_raise_as_on_dict_route(self, weights, error):
+        with pytest.raises(error):
+            Pmf([0.0, 1.0], weights)
+        with pytest.raises(error):
+            self.dict_route([0.0, 1.0], weights)
+
+    @pytest.mark.parametrize("support", [
+        np.array([0.5, 1.0, 4.0]),
+        np.array([4.0, 0.5, 1.0]),
+        np.array([0.5, 0.5, 1.0]),
+        np.array([0, 3, 7]),
+        np.array([7, 0, 3]),
+    ])
+    def test_ndarray_support_gives_python_numbers(self, support):
+        pmf = Pmf(support, [1.0, 2.0, 3.0])
+        assert {type(p) for p in pmf.support} == {type(support.tolist()[0])}
+        assert set(pmf.support) == set(support.tolist())
+
+    def test_ndarray_pairs_give_python_numbers(self):
+        pmf = Pmf(np.array([[0.5, 1.0], [0.25, 3.0]]))
+        assert pmf.support == (0.25, 0.5)
+        assert all(type(p) is float for p in pmf.support)
+
+    @pytest.mark.parametrize("n", [1, 2, 101, 1001])
+    def test_range_supports_match_dict_route(self, n):
+        weights = np.random.default_rng(n).random(n)
+        assert_same_pmf(Pmf(list(range(n)), weights), self.dict_route(range(n), weights))
+        assert_same_pmf(Pmf(range(n), weights), self.dict_route(range(n), weights))
 
     @given(
         points=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60, unique=True),
@@ -312,15 +367,59 @@ class TestIncreasingFastPath:
         points = sorted(points)
         weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(points),
                                      max_size=len(points)))
-        assert_same_pmf(Pmf._from_increasing(np.array(points), weights), Pmf(points, weights))
-        assert_same_pmf(Pmf._from_increasing(tuple(points), weights), Pmf(points, weights))
+        want = self.dict_route(points, weights)
+        assert_same_pmf(Pmf(np.array(points), weights), want)
+        assert_same_pmf(Pmf(tuple(points), weights), want)
 
     def test_callers_match_general_constructor(self):
         d = kde([0.0, 0.4, 2.0], 0.5, (-3, 5, 513))
-        assert_same_pmf(to_pmf(d), Pmf(d.grid.tolist(), d.density * d.spacing))
+        assert_same_pmf(to_pmf(d), self.dict_route(d.grid, d.density * d.spacing))
         support = tuple(d.grid.tolist())
         logw = np.linspace(-50.0, 0.0, 513)
-        assert_same_pmf(Pmf.from_log_weights(support, logw), Pmf(support, np.exp(logw)))
+        assert_same_pmf(Pmf.from_log_weights(support, logw), self.dict_route(support, np.exp(logw)))
         joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.arange(1.0, 7.0).reshape(3, 2))
-        assert_same_pmf(joint.marginal_x(), Pmf([0.5, 1.0, 4.0], joint.probs.sum(axis=1)))
-        assert_same_pmf(joint.marginal_y(), Pmf([-0.0, 2.0], joint.probs.sum(axis=0)))
+        assert_same_pmf(joint.marginal_x(), self.dict_route([0.5, 1.0, 4.0], joint.probs.sum(axis=1)))
+        assert_same_pmf(joint.marginal_y(), self.dict_route([-0.0, 2.0], joint.probs.sum(axis=0)))
+
+    def test_grid_callers_take_array_route(self, monkeypatch):
+        """With the dict route's sort made to fail, every grid posterior still builds."""
+        import bayeskit.pmf as pmf_module
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("dict route taken")
+
+        monkeypatch.setattr(pmf_module, "sorted", no_sort, raising=False)
+        with pytest.raises(AssertionError):
+            Pmf([1.0, 0.0], [1.0, 1.0])
+        to_pmf(kde([0.0, 0.4, 2.0], 0.5, (-3, 5, 513)))
+        Pmf.from_log_weights((0, 1, 2), [0.0, -1.0, -2.0])
+        joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.arange(1.0, 7.0).reshape(3, 2))
+        joint.marginal_x(), joint.marginal_y()
+        params = WeibullParams(6.0, 0.9)
+        total_bugs_posterior(params, 3, 0.3, 0.8, 50)
+        class_total_bugs(params, 3, EffectivenessGrid(e_steps=3, strong_steps=2), 50)
+        derived_prob_at_most(2, fit_weibull_posterior([0, 1, 3], grid=((1, 9), (0.5, 2), (5, 4))), bins=10)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_update_names_non_finite_likelihood(self, value):
+        with pytest.raises(ValueError, match="likelihood values must be finite and nonnegative"):
+            update(Pmf({1: 1, 2: 1}), lambda h: value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_iterate_update_names_non_finite_likelihood(self, value):
+        with pytest.raises(ValueError, match="likelihood values must be finite and nonnegative"):
+            iterate_update(Pmf({1: 1, 2: 1}), [0, 1], lambda d, h: value if d else 0.5)
+
+    @pytest.mark.parametrize("logw", [[0.0, np.nan], [0.0, np.inf], [-np.inf, np.nan]])
+    def test_pmf_log_weights_named(self, logw):
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            Pmf.from_log_weights([0.0, 1.0], logw)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_joint_log_weights_named(self, value):
+        logw = np.zeros((2, 2))
+        logw[1, 0] = value
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            JointPmf2D.from_log_weights([0, 1], [0, 1], logw)
