@@ -53,18 +53,8 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_report(out_dir: Path, command: str, cfg, inputs, results, warnings=()) -> dict:

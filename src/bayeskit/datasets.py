@@ -1,12 +1,15 @@
 """CSV ingestion with schema validation.
 
-Every loader checks the header against its schema, validates each row, and
-reports offending rows by line number (1-based, counting the header).
+`_read_rows` checks the header against its schema and every row, once, for
+the header's field count, and strips the fields.  The loaders validate the
+values, which must be finite numbers, and report offending rows by line
+number (1-based, counting the header).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,10 +29,11 @@ SCHEMAS = {
 
 
 def _read_rows(path, expected_headers):
-    """Yield (line_number, row) after validating the header against the schema.
+    """Return the matched header and an iterator of (line_number, fields).
 
-    `expected_headers` is a list of acceptable header tuples; returns the one
-    that matched alongside the row iterator.
+    `expected_headers` is a list of acceptable header tuples.  Blank rows
+    are skipped; every other row must have as many fields as the header,
+    and its fields come stripped.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -37,11 +41,19 @@ def _read_rows(path, expected_headers):
     if not rows:
         raise SchemaMismatch(f"{path}: empty file, expected a header row")
     header = tuple(h.strip() for h in rows[0])
-    for candidate in expected_headers:
-        if header == candidate:
-            return header, [(i + 2, row) for i, row in enumerate(rows[1:]) if row]
-    expected = " or ".join(",".join(h) for h in expected_headers)
-    raise SchemaMismatch(f"{path}: header {','.join(header)!r} does not match {expected!r}")
+    if header not in expected_headers:
+        expected = " or ".join(",".join(h) for h in expected_headers)
+        raise SchemaMismatch(f"{path}: header {','.join(header)!r} does not match {expected!r}")
+
+    def checked():
+        for line, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InvalidValue(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
+            yield line, [field.strip() for field in row]
+
+    return header, checked()
 
 
 def _parse_float(path, line, field, raw, positive=False):
@@ -49,9 +61,12 @@ def _parse_float(path, line, field, raw, positive=False):
         value = float(raw)
     except ValueError:
         raise InvalidValue(f"{path} line {line}: {field}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise InvalidValue(f"{path} line {line}: {field}={raw!r} is not finite")
     if positive and value <= 0:
         raise InvalidValue(f"{path} line {line}: {field}={raw!r} must be positive")
     return value
+
 
 def _parse_int(path, line, field, raw, minimum=None):
     try:
@@ -111,9 +126,7 @@ def load_outcomes(path) -> OutcomeTable:
     seen = set()
     out = []
     for line, row in rows:
-        if len(row) != 3:
-            raise InvalidValue(f"{path} line {line}: expected 3 fields, got {len(row)}")
-        project, group, raw = (field.strip() for field in row)
+        project, group, raw = row
         if project in seen:
             raise DuplicateKey(f"{path} line {line}: duplicate project_id {project!r}")
         seen.add(project)
@@ -133,9 +146,7 @@ def load_baselines(path) -> dict[str, OutcomeDistribution]:
     _, rows = _read_rows(path, [SCHEMAS["baseline"]])
     cells: dict[str, dict[int, float]] = {}
     for line, row in rows:
-        if len(row) != 3:
-            raise InvalidValue(f"{path} line {line}: expected 3 fields, got {len(row)}")
-        name, k_raw, p_raw = (field.strip() for field in row)
+        name, k_raw, p_raw = row
         k = _parse_int(path, line, "k", k_raw, minimum=0)
         p = _parse_float(path, line, "probability", p_raw)
         if not 0.0 <= p <= 1.0:
@@ -157,45 +168,39 @@ def load_baselines(path) -> dict[str, OutcomeDistribution]:
     return out
 
 
-def load_benchmarks(path) -> dict[str, BenchmarkDataset]:
-    """Read `bench.csv` into one dataset per metric."""
-    _, rows = _read_rows(path, [SCHEMAS["bench"]])
+def _load_measurements(path, schema: str) -> dict[str, BenchmarkDataset]:
+    """Read `bench.csv` or `primary.csv` rows into one dataset per metric.
+
+    A primary row is read as a bench row at input size 1 with variant
+    "best"; a duplicate key is reported in the file's own columns.
+    """
+    _, rows = _read_rows(path, [SCHEMAS[schema]])
     seen = set()
     per_metric: dict[str, list[BenchmarkRecord]] = {}
     for line, row in rows:
-        if len(row) != 6:
-            raise InvalidValue(f"{path} line {line}: expected 6 fields, got {len(row)}")
-        language, task, size_raw, variant, metric, value_raw = (f.strip() for f in row)
-        size = _parse_float(path, line, "input_size", size_raw, positive=True)
+        language, task, *setup, metric, value_raw = row
+        if setup:  # bench: input_size, variant
+            setup[0] = _parse_float(path, line, "input_size", setup[0], positive=True)
         value = _parse_float(path, line, "value", value_raw, positive=True)
-        key = (language, task, size, variant, metric)
+        key = (language, task, *setup, metric)
         if key in seen:
             raise DuplicateKey(f"{path} line {line}: duplicate key {key}")
         seen.add(key)
+        size, variant = setup or (1.0, "best")
         per_metric.setdefault(metric, []).append(
             BenchmarkRecord(language, task, size, variant, value)
         )
     return {metric: BenchmarkDataset(recs, metric) for metric, recs in sorted(per_metric.items())}
 
 
+def load_benchmarks(path) -> dict[str, BenchmarkDataset]:
+    """Read `bench.csv` into one dataset per metric."""
+    return _load_measurements(path, "bench")
+
+
 def load_primary(path) -> dict[str, BenchmarkDataset]:
     """Read `primary.csv` (one best measurement per language and task) per metric."""
-    _, rows = _read_rows(path, [SCHEMAS["primary"]])
-    seen = set()
-    per_metric: dict[str, list[BenchmarkRecord]] = {}
-    for line, row in rows:
-        if len(row) != 4:
-            raise InvalidValue(f"{path} line {line}: expected 4 fields, got {len(row)}")
-        language, task, metric, value_raw = (f.strip() for f in row)
-        value = _parse_float(path, line, "value", value_raw, positive=True)
-        key = (language, task, metric)
-        if key in seen:
-            raise DuplicateKey(f"{path} line {line}: duplicate key {key}")
-        seen.add(key)
-        per_metric.setdefault(metric, []).append(
-            BenchmarkRecord(language, task, 1.0, "best", value)
-        )
-    return {metric: BenchmarkDataset(recs, metric) for metric, recs in sorted(per_metric.items())}
+    return _load_measurements(path, "primary")
 
 
 def load_bug_counts(path) -> tuple[BugCounts, ...]:
@@ -204,9 +209,7 @@ def load_bug_counts(path) -> tuple[BugCounts, ...]:
     seen = set()
     out = []
     for line, row in rows:
-        if len(row) != 5:
-            raise InvalidValue(f"{path} line {line}: expected 5 fields, got {len(row)}")
-        class_id, simple_raw, strong_raw, methods_raw, loc_raw = (f.strip() for f in row)
+        class_id, simple_raw, strong_raw, methods_raw, loc_raw = row
         if class_id in seen:
             raise DuplicateKey(f"{path} line {line}: duplicate class_id {class_id!r}")
         seen.add(class_id)

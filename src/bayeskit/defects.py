@@ -167,11 +167,10 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     terms = np.log(m) + np.outer(betas, log_x)  # log m + b log x, one row per beta
     top = terms.max(axis=1)
     log_power_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-    logw = (
-        n * (np.log(betas) - log_a)
-        + (betas - 1.0) * (m @ log_x - n * log_a)
-        - np.exp(log_power_sum - betas * log_a)
-    )
+    # a power sum that overflows to inf is a likelihood of exactly 0 there
+    with np.errstate(over="ignore"):
+        power_sum = np.exp(log_power_sum - betas * log_a)
+    logw = n * (np.log(betas) - log_a) + (betas - 1.0) * (m @ log_x - n * log_a) - power_sum
     if prior_kind == "jeffreys":
         logw -= log_a + np.log(betas)
     return JointPmf2D.from_log_weights(alphas, betas, logw)
@@ -265,6 +264,8 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     h = np.arange(n_max + 1)
     log_binom = np.stack([_log_binomial_vec(h, float(e), d) for e in e_pts])
     log_prior = np.stack([_log_scaled_prior(params, float(s), n_max) for s in s_pts])
+    if not np.isfinite(log_prior).any(axis=1).all():
+        raise ValueError(f"n_max={n_max} leaves the Weibull prior no mass on totals 0..{n_max}")
     logw = log_binom[:, None, :] + log_prior[None, :, :]
     cells = _shift_exp(logw, axis=2)
     cells /= cells.sum(axis=2, keepdims=True)

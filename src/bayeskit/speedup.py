@@ -46,42 +46,29 @@ class BenchmarkRecord:
 
 
 class BenchmarkDataset:
-    """Positive measurements keyed uniquely by (language, task, input_size, variant)."""
+    """Positive, finite measurements keyed uniquely by (language, task, input_size, variant).
+
+    They are indexed once as language -> task -> input size -> variant -> value.
+    """
 
     def __init__(self, records, metric: str = "time"):
         self.metric = metric
-        recs = tuple(records)
-        seen = set()
-        by_lang_task: dict[tuple[str, str], dict[tuple[float, str], float]] = defaultdict(dict)
-        for rec in recs:
-            if rec.value <= 0 or not math.isfinite(rec.value):
-                raise InvalidValue(f"nonpositive measurement {rec.value!r} for {rec}")
-            key = (rec.language, rec.task, rec.input_size, rec.variant)
-            if key in seen:
+        self.records = tuple(records)
+        self._index: dict[str, dict[str, dict[float, dict[str, float]]]] = {}
+        for rec in self.records:
+            if not 0 < rec.value < math.inf:
+                raise InvalidValue(f"measurement {rec.value!r} must be positive and finite: {rec}")
+            if not 0 < rec.input_size < math.inf:
+                raise InvalidValue(f"input size {rec.input_size!r} must be positive and finite: {rec}")
+            tasks = self._index.setdefault(rec.language, {})
+            variants = tasks.setdefault(rec.task, {}).setdefault(rec.input_size, {})
+            if rec.variant in variants:
+                key = (rec.language, rec.task, rec.input_size, rec.variant)
                 raise DuplicateKey(f"duplicate measurement key {key}")
-            seen.add(key)
-            by_lang_task[(rec.language, rec.task)][(rec.input_size, rec.variant)] = rec.value
-        self.records = recs
-        self._by_lang_task = dict(by_lang_task)
+            variants[rec.variant] = rec.value
 
     def languages(self) -> tuple[str, ...]:
-        return tuple(sorted({lang for lang, _ in self._by_lang_task}))
-
-    def tasks(self, language: str) -> set[str]:
-        return {task for lang, task in self._by_lang_task if lang == language}
-
-    def best_value(self, language: str, task: str) -> float:
-        return min(self._by_lang_task[(language, task)].values())
-
-    def sizes(self, language: str, task: str) -> set[float]:
-        return {size for size, _ in self._by_lang_task[(language, task)]}
-
-    def values_at(self, language: str, task: str, size: float) -> dict[str, float]:
-        return {
-            variant: value
-            for (sz, variant), value in self._by_lang_task[(language, task)].items()
-            if sz == size
-        }
+        return tuple(sorted(self._index))
 
 
 def ratio(a: float, b: float) -> float:
@@ -96,56 +83,53 @@ def ratio(a: float, b: float) -> float:
     return sign * max(a, b) / min(a, b)
 
 
+def _shared_tasks(data: BenchmarkDataset, lang1: str, lang2: str):
+    """(sizes of lang1, sizes of lang2) per task both languages measured, in task order."""
+    tasks1 = data._index.get(lang1, {})
+    tasks2 = data._index.get(lang2, {})
+    return [(tasks1[task], tasks2[task]) for task in sorted(tasks1.keys() & tasks2.keys())]
+
+
 def primary_speedups(data: BenchmarkDataset, lang1: str, lang2: str) -> list[float]:
     """One ratio of best values per task shared by both languages."""
-    common = sorted(data.tasks(lang1) & data.tasks(lang2))
-    return [ratio(data.best_value(lang1, t), data.best_value(lang2, t)) for t in common]
+
+    def best(sizes):
+        return min(value for variants in sizes.values() for value in variants.values())
+
+    return [ratio(best(sizes1), best(sizes2)) for sizes1, sizes2 in _shared_tasks(data, lang1, lang2)]
 
 
-def _reference_speedup(data: BenchmarkDataset, lang1: str, lang2: str, task: str):
-    """Ratio of fastest variants at the largest shared input size, or None."""
-    shared = data.sizes(lang1, task) & data.sizes(lang2, task)
-    if not shared:
-        return None
-    top = max(shared)
-    return ratio(
-        min(data.values_at(lang1, task, top).values()),
-        min(data.values_at(lang2, task, top).values()),
-    )
+def _calibration(data: BenchmarkDataset, lang1: str, lang2: str):
+    """Calibration speedups and deltas of one pair from one pass over the shared tasks.
+
+    A task's reference speedup is the ratio of the fastest variants at the
+    largest shared input size; tasks without a shared size are skipped.  The
+    deltas pool, over those tasks, the ratio of every lang1 variant against
+    every lang2 variant at every shared size minus the task's reference.
+    """
+    speedups, deltas = [], []
+    for sizes1, sizes2 in _shared_tasks(data, lang1, lang2):
+        shared = sorted(sizes1.keys() & sizes2.keys())
+        if not shared:
+            continue
+        top = shared[-1]
+        ref = ratio(min(sizes1[top].values()), min(sizes2[top].values()))
+        speedups.append(ref)
+        for size in shared:
+            right = [v2 for _, v2 in sorted(sizes2[size].items())]
+            for _, v1 in sorted(sizes1[size].items()):
+                deltas.extend(ratio(v1, v2) - ref for v2 in right)
+    return speedups, deltas
 
 
 def calib_speedups(data: BenchmarkDataset, lang1: str, lang2: str) -> list[float]:
-    """Per shared task, the best-variant ratio at the largest shared input size.
-
-    Tasks without a shared input size are skipped.
-    """
-    out = []
-    for task in sorted(data.tasks(lang1) & data.tasks(lang2)):
-        ref = _reference_speedup(data, lang1, lang2, task)
-        if ref is not None:
-            out.append(ref)
-    return out
+    """Per shared task with a shared input size, the task's reference speedup."""
+    return _calibration(data, lang1, lang2)[0]
 
 
 def calib_deltas(data: BenchmarkDataset, lang1: str, lang2: str) -> list[float]:
-    """Speedup scatter: every variant/size pairing's ratio minus the task reference.
-
-    Pools, over all shared tasks, the difference between the ratio of any
-    lang1 variant against any lang2 variant (at any shared size) and that
-    task's reference speedup.
-    """
-    out = []
-    for task in sorted(data.tasks(lang1) & data.tasks(lang2)):
-        ref = _reference_speedup(data, lang1, lang2, task)
-        if ref is None:
-            continue
-        for size in sorted(data.sizes(lang1, task) & data.sizes(lang2, task)):
-            left = data.values_at(lang1, task, size)
-            right = data.values_at(lang2, task, size)
-            for _, v1 in sorted(left.items()):
-                for _, v2 in sorted(right.items()):
-                    out.append(ratio(v1, v2) - ref)
-    return out
+    """Speedup scatter: every variant/size pairing's ratio minus its task's reference."""
+    return _calibration(data, lang1, lang2)[1]
 
 
 def ratio_grid(values, bandwidth: float, n_points: int = RATIO_GRID_POINTS):
@@ -245,12 +229,10 @@ def pair_posterior(
     bandwidth=AUTO,
 ) -> Pmf:
     """Speedup posterior for one pair straight from the two datasets."""
+    calib, deltas = _calibration(calib_data, lang1, lang2)
     try:
         return speedup_posterior(
-            primary_speedups(primary_data, lang1, lang2),
-            calib_speedups(calib_data, lang1, lang2),
-            calib_deltas(calib_data, lang1, lang2),
-            bandwidth=bandwidth,
+            primary_speedups(primary_data, lang1, lang2), calib, deltas, bandwidth=bandwidth
         )
     except (EmptyCalibration, EmptyPrimary) as exc:
         raise type(exc)(f"{lang1} vs {lang2}: {exc}") from None

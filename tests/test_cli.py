@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 from fractions import Fraction
 from pathlib import Path
@@ -468,6 +469,27 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("bayeskit: error:") and message in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tiny_alpha_range_fits_without_overflow_warning(self, tmp_path):
+        # every power sum but the corner's overflows: a likelihood of 0, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["fit-defects", "--data", DATA / "demo_bugs.csv", "--out", tmp_path,
+                        "--grid", "20x10", "--alpha-range", "1e-300,1e-299"])
+        assert code == 0
+        fit = json.loads((tmp_path / "weibull_fit.json").read_text())
+        assert fit["map"] == {"alpha": 1e-299, "beta": 0.1}
+        assert fit["credible_interval"]["alpha"] == [1e-299, 1e-299]
+        assert fit["credible_interval"]["beta"] == [0.1, 0.1]
+
+    def test_nmax_zero_names_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", out, "--nmax", "0"]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: n_max=0 leaves the Weibull prior no mass on totals 0..0\n"
+        )
         assert not out.exists()
 
     def test_malformed_config_reported(self, tmp_path, capsys):

@@ -106,6 +106,85 @@ class TestRowValidation:
         assert rows[1].public_methods == 12
 
 
+class TestSharedRowCheck:
+    @pytest.mark.parametrize(
+        "name,text,loader",
+        [
+            ("outcomes.csv", "project_id,group,raw_outcome\np1,agile,5\np2,agile\n", load_outcomes),
+            ("base.csv", "category,k,probability\nA,0,0.5\nA,1,0.5,x\n", load_baselines),
+            ("bench.csv", "language,task,input_size,variant,metric,value\n"
+             "C,t1,100,v1,time,1.0\nC,t1,100,v2,time\n", load_benchmarks),
+            ("primary.csv", "language,task,metric,value\nC,t1,time,1\nC,t2,time,1,9\n",
+             load_primary),
+            ("bugs.csv", "class_id,found_simple,found_strong,public_methods,loc\nc1,1,2,,\nc2,1\n",
+             load_bug_counts),
+        ],
+    )
+    def test_wrong_field_count_names_row_and_header_width(self, tmp_path, name, text, loader):
+        width = len(text.splitlines()[0].split(","))
+        with pytest.raises(InvalidValue, match=f"line 3: expected {width} fields"):
+            loader(write(tmp_path, name, text))
+
+    def test_fields_stripped_and_blank_rows_skipped(self, tmp_path):
+        path = write(
+            tmp_path,
+            "primary.csv",
+            "language, task ,metric,value\n C , t1 , time , 2.5 \n\n Go ,t1,time,1\n",
+        )
+        (record, other) = load_primary(path)["time"].records
+        assert (record.language, record.task, record.value) == ("C", "t1", 2.5)
+        assert (record.input_size, record.variant) == (1.0, "best")
+        assert other.language == "Go"
+
+    def test_primary_duplicate_names_file_columns_only(self, tmp_path):
+        path = write(
+            tmp_path,
+            "primary.csv",
+            "language,task,metric,value\nC,t1,time,1\nC,t1,time,2\n",
+        )
+        with pytest.raises(DuplicateKey) as exc:
+            load_primary(path)
+        assert str(exc.value).endswith("line 3: duplicate key ('C', 't1', 'time')")
+
+    def test_bench_duplicate_names_file_columns(self, tmp_path):
+        path = write(
+            tmp_path,
+            "bench.csv",
+            "language,task,input_size,variant,metric,value\n"
+            "C,t1,100,v1,time,1.0\nC,t1,1e2,v1,time,2.0\n",
+        )
+        with pytest.raises(DuplicateKey) as exc:
+            load_benchmarks(path)
+        assert str(exc.value).endswith("line 3: duplicate key ('C', 't1', 100.0, 'v1', 'time')")
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
+    def test_primary_value_names_line_and_field(self, tmp_path, raw):
+        path = write(tmp_path, "primary.csv", f"language,task,metric,value\nC,t1,time,1\nC,t2,time,{raw}\n")
+        with pytest.raises(InvalidValue, match=f"line 3: value={raw!r} is not finite"):
+            load_primary(path)
+
+    @pytest.mark.parametrize("field,row", [
+        ("input_size", "C,t1,{},v1,time,1.0"),
+        ("value", "C,t1,100,v1,time,{}"),
+    ])
+    @pytest.mark.parametrize("raw", ["inf", "nan", "NaN", "Infinity"])
+    def test_bench_number_names_line_and_field(self, tmp_path, field, row, raw):
+        path = write(
+            tmp_path,
+            "bench.csv",
+            "language,task,input_size,variant,metric,value\n" + row.format(raw) + "\n",
+        )
+        with pytest.raises(InvalidValue, match=f"line 2: {field}={raw!r} is not finite"):
+            load_benchmarks(path)
+
+    def test_baseline_probability_names_line_and_field(self, tmp_path):
+        path = write(tmp_path, "base.csv", "category,k,probability\nA,0,nan\n")
+        with pytest.raises(InvalidValue, match="line 2: probability='nan' is not finite"):
+            load_baselines(path)
+
+
 class TestOutcomeBinning:
     def test_raw_rows_rescaled(self, tmp_path):
         path = write(

@@ -169,6 +169,14 @@ class TestFitWeibull:
             fit_weibull_posterior([1, 2, 3], "uniform", grid)
 
 
+    def test_overflowing_power_sums_are_zero_likelihood(self):
+        grid = ((1e-300, 1e-299), (0.1, 3.0), (20, 10))
+        with np.errstate(over="raise"):
+            joint = fit_weibull_posterior([0, 1, 2, 5, 9], "uniform", grid)
+        want = np.zeros((20, 10))
+        want[-1, 0] = 1.0  # alpha = 1e-299, beta = 0.1
+        np.testing.assert_array_equal(joint.probs, want)
+
 class TestParetoFraction:
     def test_shape_one_closed_form(self):
         p = WeibullParams(6.0, 1.0)
@@ -239,6 +247,11 @@ class TestTotalBugsPosterior:
     def test_nmax_below_found_rejected(self):
         with pytest.raises(ValueError):
             total_bugs_posterior(P_TYPICAL, 10, 0.5, 0.8, 5)
+
+    def test_cap_without_prior_mass_named(self):
+        # shape > 1 puts no density at 0, the only total a cap of 0 allows
+        with pytest.raises(ValueError, match="n_max=0 leaves the Weibull prior no mass"):
+            total_bugs_posterior(WeibullParams(8.0, 1.5), 0, 0.5, 0.8, 0)
 
 
 class TestEffectivenessPosterior:

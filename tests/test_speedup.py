@@ -9,6 +9,7 @@ from bayeskit import speedup
 from bayeskit.density import exclude_interval, kde, to_pmf
 from bayeskit.errors import (
     AllZeroMass,
+    DuplicateKey,
     EmptyCalibration,
     EmptyPrimary,
     EverythingExcluded,
@@ -174,6 +175,85 @@ class TestCalibDeltas:
         }
         # sizes {100, 200} x |V_X|=2 x |V_Y|=1 per size
         assert len(calib_deltas(dataset(values), "X", "Y")) == 4
+
+
+def shared_tasks_reference(values, lang1, lang2):
+    tasks = [{t for (l, t, _, _) in values if l == lang} for lang in (lang1, lang2)]
+    return sorted(tasks[0] & tasks[1])
+
+
+def primary_speedups_reference(values, lang1, lang2):
+    """Brute force: per shared task, the ratio of each language's smallest value."""
+    out = []
+    for task in shared_tasks_reference(values, lang1, lang2):
+        best = [
+            min(v for (l, t, _, _), v in values.items() if (l, t) == (lang, task))
+            for lang in (lang1, lang2)
+        ]
+        out.append(ratio_oracle(*best))
+    return out
+
+
+def calib_speedups_reference(values, lang1, lang2):
+    """Brute force: per shared task with a shared size, the best ratio at the top one."""
+    out = []
+    for task in shared_tasks_reference(values, lang1, lang2):
+        sizes = [{n for (l, t, n, _) in values if (l, t) == (lang, task)} for lang in (lang1, lang2)]
+        common = sizes[0] & sizes[1]
+        if not common:
+            continue
+        best = [
+            min(v for (l, t, n, _), v in values.items() if (l, t, n) == (lang, task, max(common)))
+            for lang in (lang1, lang2)
+        ]
+        out.append(ratio_oracle(*best))
+    return out
+
+
+# tables where any task, size or variant may be missing for any language
+sparse_tables = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["X", "Y", "Z"]),
+        st.sampled_from(["t1", "t2", "t3", "t4"]),
+        st.sampled_from([10.0, 20.0, 50.0]),
+        st.sampled_from(["v1", "v2", "v3"]),
+    ),
+    positive,
+    max_size=60,
+)
+
+
+class TestBenchmarkIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(values=sparse_tables)
+    def test_extractors_match_brute_force(self, values):
+        d = dataset(values)
+        for lang1, lang2 in (("X", "Y"), ("Y", "X"), ("X", "Z"), ("X", "W")):
+            assert calib_deltas(d, lang1, lang2) == deltas_oracle(values, lang1, lang2)
+            assert calib_speedups(d, lang1, lang2) == calib_speedups_reference(values, lang1, lang2)
+            assert primary_speedups(d, lang1, lang2) == primary_speedups_reference(
+                values, lang1, lang2
+            )
+
+    def test_languages_sorted(self):
+        d = dataset({("Y", "t1", 1, "v"): 1.0, ("X", "t1", 1, "v"): 2.0, ("Y", "t2", 1, "v"): 3.0})
+        assert d.languages() == ("X", "Y")
+
+    def test_duplicate_key_rejected(self):
+        records = [BenchmarkRecord("X", "t1", 100.0, "v1", 1.0),
+                   BenchmarkRecord("X", "t1", 100, "v1", 2.0)]
+        with pytest.raises(DuplicateKey, match="duplicate measurement key"):
+            BenchmarkDataset(records)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_value_rejected(self, value):
+        with pytest.raises(InvalidValue, match="measurement .* must be positive and finite"):
+            BenchmarkDataset([BenchmarkRecord("X", "t1", 100.0, "v1", value)])
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_input_size_rejected(self, size):
+        with pytest.raises(InvalidValue, match="input size .* must be positive and finite"):
+            BenchmarkDataset([BenchmarkRecord("X", "t1", size, "v1", 1.0)])
 
 
 class TestSpeedupPosterior:
