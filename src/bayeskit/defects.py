@@ -154,10 +154,15 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     if grid is None:
         grid = (DEFAULT_ALPHA_RANGE, DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS)
     (a_lo, a_hi), (b_lo, b_hi), (n_a, n_b) = grid
-    if not (0 < a_lo <= a_hi < math.inf and 0 < b_lo <= b_hi < math.inf) or n_a < 1 or n_b < 1:
+    if not (0 < a_lo <= a_hi < math.inf and 0 < b_lo <= b_hi < math.inf):
         raise NonPositiveParams(
             f"bad parameter grid {grid!r}: bounds must be positive, finite and ordered"
         )
+    # as in EffectivenessGrid: a range needs at least 2 steps, a single point exactly 1
+    for axis, lo, hi, steps in (("alpha", a_lo, a_hi, n_a), ("beta", b_lo, b_hi, n_b)):
+        if (lo < hi and steps < 2) or (lo == hi and steps != 1):
+            need = "at least 2 grid steps" if lo < hi else "exactly 1 grid step"
+            raise NonPositiveParams(f"{axis} range ({lo}, {hi}) needs {need}, got {steps}")
     alphas = np.geomspace(a_lo, a_hi, int(n_a))
     log_a = np.log(alphas)[:, None]
     betas = np.linspace(b_lo, b_hi, int(n_b))

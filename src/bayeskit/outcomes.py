@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -104,8 +103,9 @@ def rescale_outcome(raw: int, lower_bound: int = 1, top_category: int = 2) -> in
     """Map a raw 1..10 outcome onto 0..top_category via nearest anchor point.
 
     Anchors are evenly spaced over [lower_bound, 10]; ties go to the smaller
-    category.  Comparisons run in exact rational arithmetic so tie-breaking
-    never depends on floating-point rounding.
+    category.  Anchor k sits at b + k(10 - b)/r, so the integer
+    |b r + k(10 - b) - raw r| is r times its distance from raw: comparing
+    those is exact, and tie-breaking never depends on floating-point rounding.
     """
     if int(raw) != raw or not 1 <= raw <= 10:
         raise OutOfRange(f"raw outcome must be an integer in 1..10, got {raw!r}")
@@ -114,13 +114,8 @@ def rescale_outcome(raw: int, lower_bound: int = 1, top_category: int = 2) -> in
         raise OutOfRange(f"lower bound must be in 1..9, got {lower_bound!r}")
     if r < 1:
         raise OutOfRange(f"need at least one category step, got {top_category!r}")
-    best_k, best_gap = 0, None
-    for k in range(r + 1):
-        anchor = Fraction(b) + Fraction(k * (10 - b), r)
-        gap = abs(anchor - raw)
-        if best_gap is None or gap < best_gap:
-            best_k, best_gap = k, gap
-    return best_k
+    # min keeps the first of equal gaps: the smaller category
+    return min(range(r + 1), key=lambda k: abs(b * r + k * (10 - b) - raw * r))
 
 
 def baseline_distribution(

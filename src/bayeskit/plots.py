@@ -8,7 +8,6 @@ reads exactly as ``format(v, ".2f")`` writes it.
 from __future__ import annotations
 
 import functools
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -18,6 +17,11 @@ _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 44.0
+
+
+def _escape(text: str) -> str:
+    """`xml.sax.saxutils.escape` without importing it (it pulls in urllib and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -130,7 +134,7 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
 
     for tx in _ticks(x_lo, x_hi):
@@ -176,17 +180,17 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
             )
             parts.append(
                 f'<text x="{lx + 23:.2f}" y="{ly:.2f}" font-family="sans-serif" '
-                f'font-size="10">{escape(label)}</text>'
+                f'font-size="10">{_escape(label)}</text>'
             )
 
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="11">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.2f})">{_escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

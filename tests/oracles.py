@@ -135,6 +135,15 @@ def log10_bayes_factor_oracle(counts_a, counts_b, baseline, scheme, step) -> flo
     return _log10_exact(better_a * tied_or_worse_b) - _log10_exact(all_a * all_b)
 
 
+# -- outcome rescaling ----------------------------------------------------------
+
+
+def rescale_oracle(raw: int, b: int, r: int) -> int:
+    """Category of the anchor b + k(10 - b)/r nearest raw, exact; ties to the smaller k."""
+    gaps = [abs(Fraction(b) + Fraction(k * (10 - b), r) - raw) for k in range(r + 1)]
+    return gaps.index(min(gaps))
+
+
 # -- deterministic random stream ------------------------------------------------
 
 

@@ -471,6 +471,22 @@ class TestConfigAndErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--grid", "1x300"], "alpha range (0.1, 40.0) needs at least 2 grid steps, got 1"),
+            (["--grid", "0x5"], "alpha range (0.1, 40.0) needs at least 2 grid steps, got 0"),
+            (["--grid", "3x3", "--alpha-range", "5,5"],
+             "alpha range (5.0, 5.0) needs exactly 1 grid step, got 3"),
+            (["--grid", "20x1"], "beta range (0.1, 3.0) needs at least 2 grid steps, got 1"),
+        ],
+    )
+    def test_weibull_grid_steps_must_fit_the_range(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run(["fit-defects", "--data", DATA / "demo_bugs.csv", "--out", out, *flags]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {message}\n"
+        assert not out.exists()
+
     def test_tiny_alpha_range_fits_without_overflow_warning(self, tmp_path):
         # every power sum but the corner's overflows: a likelihood of 0, not a warning
         with warnings.catch_warnings():
@@ -527,6 +543,21 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_xml_network_or_rational_stack():
+    # only numpy and a short stdlib list: no XML, URL, HTTP, e-mail or rational-number modules
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import bayeskit.cli; "
+         "print('\\n'.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "bayeskit.cli" in loaded and "numpy" in loaded
+    banned = ("xml", "urllib.request", "http.client", "email", "fractions", "decimal", "scipy")
+    assert sorted(m for m in loaded if m in banned or m.partition(".")[0] in banned) == []
 
 
 def test_cli_import_leaves_thread_pool_out():

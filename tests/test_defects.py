@@ -169,6 +169,20 @@ class TestFitWeibull:
             fit_weibull_posterior([1, 2, 3], "uniform", grid)
 
 
+    @pytest.mark.parametrize("grid,message", [
+        (((0.1, 40), (0.1, 3), (1, 300)), "alpha range (0.1, 40) needs at least 2 grid steps, got 1"),
+        (((5, 5), (0.1, 3), (3, 3)), "alpha range (5, 5) needs exactly 1 grid step, got 3"),
+        (((0.1, 40), (0.1, 3), (0, 5)), "alpha range (0.1, 40) needs at least 2 grid steps, got 0"),
+        (((1, 20), (0.3, 2), (5, 1)), "beta range (0.3, 2) needs at least 2 grid steps, got 1"),
+        (((1, 20), (0.9, 0.9), (5, 2)), "beta range (0.9, 0.9) needs exactly 1 grid step, got 2"),
+        (((1, 20), (0.9, 0.9), (5, 0)), "beta range (0.9, 0.9) needs exactly 1 grid step, got 0"),
+    ])
+    def test_step_count_must_fit_the_range(self, grid, message):
+        # a range cannot be covered by one step, nor a single point by several
+        with pytest.raises(NonPositiveParams) as info:
+            fit_weibull_posterior([1, 2, 3], "uniform", grid)
+        assert str(info.value) == message
+
     def test_overflowing_power_sums_are_zero_likelihood(self):
         grid = ((1e-300, 1e-299), (0.1, 3.0), (20, 10))
         with np.errstate(over="raise"):

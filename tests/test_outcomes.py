@@ -37,6 +37,7 @@ from oracles import (
     compositions_oracle,
     lcg_uniforms,
     log10_bayes_factor_oracle,
+    rescale_oracle,
 )
 
 SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
@@ -66,6 +67,24 @@ class TestRescaleOutcome:
     def test_out_of_range(self, raw, b, r):
         with pytest.raises(OutOfRange):
             rescale_outcome(raw, b, r)
+
+    def test_matches_exact_rational_oracle_everywhere(self):
+        keys = [(raw, b, r) for raw in range(1, 11) for b in range(1, 10) for r in range(1, 13)]
+        want = {key: rescale_oracle(*key) for key in keys}
+        assert {key: rescale_outcome(*key) for key in keys} == want
+        # an integral float outcome lands in the same category, with exact tie-breaking
+        assert {key: rescale_outcome(float(key[0]), *key[1:]) for key in keys} == want
+
+    @pytest.mark.parametrize("raw,b,r,message", [
+        (0, 1, 2, "raw outcome must be an integer in 1..10, got 0"),
+        (2.5, 1, 2, "raw outcome must be an integer in 1..10, got 2.5"),
+        (5, 10, 2, "lower bound must be in 1..9, got 10"),
+        (5, 1, 0, "need at least one category step, got 0"),
+    ])
+    def test_out_of_range_messages(self, raw, b, r, message):
+        with pytest.raises(OutOfRange) as info:
+            rescale_outcome(raw, b, r)
+        assert str(info.value) == message
 
 
 class TestBaseline:

@@ -5,14 +5,16 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from xml.dom.minidom import parseString
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayeskit import cli
-from bayeskit.plots import _hundredths, _points, line_chart_svg
+from bayeskit import cli, plots
+from bayeskit.plots import _escape, _hundredths, _points, line_chart_svg
 
 from oracles import lcg_uniforms
 
@@ -106,6 +108,25 @@ def test_signed_zero_minimum_labels_first_tick_zero():
         svg = line_chart_svg(_as(np.array, SERIES[name]), "t", "x", "y")
         labels = re.findall(r'font-size="10">([^<]*)<', svg)
         assert labels[0] == "0" and labels[5] == "0"
+
+
+# -- text escaping against xml.sax.saxutils ------------------------------------
+
+
+@given(st.text())
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
+
+
+def test_document_with_markup_in_every_text_matches_saxutils(monkeypatch):
+    series = [(label, *SERIES["two-series"][0][1:]) for label in
+              ('A & B <"x">', "it's > 'y' & <z>", "&amp; stays &amp;amp;")]
+    args = (series, 'Posterior <"A" & \'B\'>', "speedup > 1 & < 2", '"P" <&>')
+    got = line_chart_svg(*args)
+    monkeypatch.setattr(plots, "_escape", escape)
+    assert got == line_chart_svg(*args)
+    assert "&amp;amp;amp;" in got and "<z>" not in got
+    assert len(parseString(got).getElementsByTagName("text")) > 4  # well-formed XML
 
 
 # -- the fixed-point writer against format(v, ".2f") --------------------------
