@@ -24,7 +24,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bayeskit.outcomes import enumerate_simplex  # noqa: E402
+from bayeskit.outcomes import _compositions, _scheme_weights, enumerate_simplex  # noqa: E402
 
 BASELINES = {
     "A": (0.07, 0.30, 0.63),
@@ -50,12 +50,6 @@ GROUP_SIZES = (29, 18)
 STEP = 0.005
 
 
-def compositions(total: int) -> np.ndarray:
-    return np.array(
-        [(c0, c1, total - c0 - c1) for c0 in range(total + 1) for c1 in range(total - c0 + 1)]
-    )
-
-
 def main():
     simplex = enumerate_simplex(3, STEP)
     probs = np.array([p.probs for p in simplex])
@@ -63,8 +57,8 @@ def main():
     logp = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), -1e6)
     means = probs @ np.array([0.0, 1.0, 2.0])
 
-    d_a = compositions(GROUP_SIZES[0])
-    d_s = compositions(GROUP_SIZES[1])
+    d_a = _compositions(3, GROUP_SIZES[0])
+    d_s = _compositions(3, GROUP_SIZES[1])
     lik_a = np.exp(d_a @ logp.T)
     lik_s = np.exp(d_s @ logp.T)
 
@@ -73,14 +67,8 @@ def main():
         base_mean = float(np.dot([0, 1, 2], BASELINES[name]))
         better = means > base_mean + 1e-12
         delta = np.abs(means - base_mean)
-        weights = {
-            "uniform": np.ones_like(delta),
-            "triangle": np.maximum(0.0, 1.0 - delta / 2.0),
-            "power": 1.0 / (1.0 + delta),
-            "exp": np.exp(-delta),
-        }
         for scheme, row in FACTOR_TABLE.items():
-            w = weights[scheme]
+            w = _scheme_weights(delta, 3, scheme)
             frac_a = (lik_a @ (w * better)) / (lik_a @ w)
             frac_s = (lik_s @ (w * ~better)) / (lik_s @ w)
             worst = np.maximum(worst, np.abs(np.outer(frac_a, frac_s) - row[column]))

@@ -57,18 +57,23 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_report(out_dir: Path, command: str, cfg, inputs, results, warnings=()) -> dict:
+def _write_chart(path: Path, series, title: str, x_label: str, y_label: str) -> None:
+    _write_text(path, line_chart_svg(series, title, x_label, y_label))
+
+
+def _write_report(out_dir: Path, command: str, cfg, results, warnings) -> None:
     parameters = asdict(cfg)
     parameters.pop("out", None)  # run placement, not analysis configuration
+    # every required option is an input CSV
+    inputs = [getattr(cfg, f.name) for f in fields(cfg) if f.default is MISSING]
     report = {
         "command": command,
         "parameters": parameters,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "results": results,
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
     _write_json(out_dir / REPORT_NAME, report)
-    return report
 
 
 def _safe_name(name: str) -> str:
@@ -256,9 +261,12 @@ class DerivedPlotsConfig(_BugsConfig):
 
 
 # -- runners -----------------------------------------------------------------
+#
+# A runner computes its analysis, writes its tables and charts under the
+# directory `main` gives it, and returns its report results and warnings.
 
 
-def run_compare_outcomes(cfg: CompareOutcomesConfig) -> dict:
+def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dict, list]:
     table = datasets.load_outcomes(cfg.data)
     baselines = datasets.load_baselines(cfg.baselines)
     if not baselines:
@@ -299,7 +307,6 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig) -> dict:
             per[scheme] = {"factor": float(factor), "label": label, "log10_factor": log10}
         factors[name] = per
 
-    out_dir = Path(cfg.out)
     rows = [
         [scheme] + [_fmt6(factors[name][scheme]["factor"]) for name in names]
         for scheme in cfg.schemes
@@ -311,12 +318,10 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig) -> dict:
         "counts": {counts.label_a: counts.counts_a, counts.label_b: counts.counts_b},
         "factors": factors,
     }
-    return _write_report(
-        out_dir, "compare-outcomes", cfg, [cfg.data, cfg.baselines], results, warnings
-    )
+    return results, warnings
 
 
-def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
+def run_compare_performance(cfg: ComparePerformanceConfig, out_dir: Path) -> tuple[dict, list]:
     calib_all = datasets.load_benchmarks(cfg.calib)
     primary_all = datasets.load_primary(cfg.primary)
     for src, table in ((cfg.calib, calib_all), (cfg.primary, primary_all)):
@@ -329,18 +334,21 @@ def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
     pairs = [(l1, l2) for i, l1 in enumerate(langs) for l2 in langs[i + 1 :]]
     plot_names = _plot_names(pairs) if cfg.plots else {}
     summaries = []
-    out_dir = Path(cfg.out)
+    charts = {}
     for l1, l2 in pairs:
         post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
         summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
         if cfg.plots:
-            chart = line_chart_svg(
+            # held as SVG text (about 60 KB a pair), a third of the posterior's size
+            charts[plot_names[(l1, l2)]] = line_chart_svg(
                 [(f"{l1} vs {l2}", post.support, post.probs)],
                 f"Speedup posterior: {l1} vs {l2}",
                 "speedup ratio",
                 "probability",
             )
-            _write_text(out_dir / "plots" / plot_names[(l1, l2)], chart)
+    # charts go out only once every pair's posterior has succeeded
+    for name, chart in charts.items():
+        _write_text(out_dir / "plots" / name, chart)
 
     rows = [
         [
@@ -374,9 +382,14 @@ def run_compare_performance(cfg: ComparePerformanceConfig) -> dict:
             for s in summaries
         ],
     }
-    return _write_report(
-        out_dir, "compare-performance", cfg, [cfg.primary, cfg.calib], results
-    )
+    return results, []
+
+
+def _load_bugs(cfg: _BugsConfig):
+    bugs = datasets.load_bug_counts(cfg.data)
+    if not bugs:
+        raise InvalidValue(f"{cfg.data}: no classes")
+    return bugs
 
 
 def _fit_joint(bug_rows, prior, grid=None):
@@ -384,11 +397,8 @@ def _fit_joint(bug_rows, prior, grid=None):
     return defects.fit_weibull_posterior(counts, prior, grid)
 
 
-def run_fit_defects(cfg: FitDefectsConfig) -> dict:
-    bugs = datasets.load_bug_counts(cfg.data)
-    if not bugs:
-        raise InvalidValue(f"{cfg.data}: no classes to fit")
-    joint = _fit_joint(bugs, cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
+def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
+    joint = _fit_joint(_load_bugs(cfg), cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
     marg_a = joint.marginal_x()
     marg_b = joint.marginal_y()
     map_a, map_b = joint.map_point()
@@ -421,26 +431,15 @@ def run_fit_defects(cfg: FitDefectsConfig) -> dict:
             },
         }
 
-    out_dir = Path(cfg.out)
     _write_json(out_dir / "weibull_fit.json", fit)
-    _write_text(
-        out_dir / "marginal_alpha.svg",
-        line_chart_svg(
-            [("scale posterior", marg_a.support, marg_a.probs)],
-            "Marginal posterior of the Weibull scale",
-            "alpha",
+    for axis, name, marg in (("alpha", "scale", marg_a), ("beta", "shape", marg_b)):
+        _write_chart(
+            out_dir / f"marginal_{axis}.svg",
+            [(f"{name} posterior", marg.support, marg.probs)],
+            f"Marginal posterior of the Weibull {name}",
+            axis,
             "probability",
-        ),
-    )
-    _write_text(
-        out_dir / "marginal_beta.svg",
-        line_chart_svg(
-            [("shape posterior", marg_b.support, marg_b.probs)],
-            "Marginal posterior of the Weibull shape",
-            "beta",
-            "probability",
-        ),
-    )
+        )
     x_hi = max(a * (np.log(100.0)) ** (1.0 / b) for _, a, b in picks)
     xs = np.linspace(0.0, float(x_hi), 200)
     series = [
@@ -449,17 +448,15 @@ def run_fit_defects(cfg: FitDefectsConfig) -> dict:
          [defects.weibull_cdf(float(x), defects.WeibullParams(a, b)) for x in xs])
         for tag, a, b in picks
     ]
-    _write_text(
-        out_dir / "cdf_fan.svg",
-        line_chart_svg(series, "Fitted cumulative distributions", "bugs per class", "P[X <= x]"),
+    _write_chart(
+        out_dir / "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
+        "P[X <= x]",
     )
-    return _write_report(out_dir, "fit-defects", cfg, [cfg.data], fit)
+    return fit, []
 
 
-def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig) -> dict:
-    bugs = datasets.load_bug_counts(cfg.data)
-    if not bugs:
-        raise InvalidValue(f"{cfg.data}: no classes to estimate")
+def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tuple[dict, list]:
+    bugs = _load_bugs(cfg)
     if (cfg.alpha is None) != (cfg.beta is None):
         raise InvalidValue("--alpha and --beta must be given together")
     if cfg.alpha is not None:
@@ -474,7 +471,6 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig) -> dict:
         [e.class_id, _fmt6(e.median), _fmt6(e.ci_low), _fmt6(e.ci_high), _fmt6(e.per_method)]
         for e in estimates
     ]
-    out_dir = Path(cfg.out)
     _write_csv(out_dir / "total_bugs.csv", ["class_id", "median", "ci_low", "ci_high", "per_method"], rows)
 
     results = {
@@ -492,30 +488,23 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig) -> dict:
             for e in estimates
         ],
     }
-    return _write_report(out_dir, "estimate-total-bugs", cfg, [cfg.data], results)
+    return results, []
 
 
-def run_derived_plots(cfg: DerivedPlotsConfig) -> dict:
-    bugs = datasets.load_bug_counts(cfg.data)
-    if not bugs:
-        raise InvalidValue(f"{cfg.data}: no classes to fit")
-    joint = _fit_joint(bugs, cfg.prior)
+def run_derived_plots(cfg: DerivedPlotsConfig, out_dir: Path) -> tuple[dict, list]:
+    joint = _fit_joint(_load_bugs(cfg), cfg.prior)
     bins = cfg.bins if cfg.bins is not None else _DERIVED_BINS
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
-    out_dir = Path(cfg.out)
-    _write_text(
+    _write_chart(
         out_dir / f"at_most_{cfg.at_most}.svg",
-        line_chart_svg(
-            [(f"at most {cfg.at_most} bugs", pmf.support, pmf.probs)],
-            f"Posterior of P[class has at most {cfg.at_most} bugs]",
-            "probability of at most N bugs",
-            "posterior mass",
-        ),
+        [(f"at most {cfg.at_most} bugs", pmf.support, pmf.probs)],
+        f"Posterior of P[class has at most {cfg.at_most} bugs]",
+        "probability of at most N bugs",
+        "posterior mass",
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
     _write_json(out_dir / f"at_most_{cfg.at_most}.json", payload)
-    results = {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}
-    return _write_report(out_dir, "derived-plots", cfg, [cfg.data], results)
+    return {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}, []
 
 
 # -- command line ------------------------------------------------------------
@@ -586,7 +575,9 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _config_for(args.command, args)
-        COMMANDS[args.command][1](cfg)
+        out_dir = Path(cfg.out)
+        results, warnings = COMMANDS[args.command][1](cfg, out_dir)
+        _write_report(out_dir, args.command, cfg, results, warnings)
     except (AnalysisError, FileNotFoundError, ValueError) as exc:
         print(f"bayeskit: error: {exc}", file=sys.stderr)
         return 1

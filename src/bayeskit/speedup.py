@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AnalysisError,
     DuplicateKey,
     EmptyCalibration,
     EmptyPrimary,
@@ -228,13 +229,16 @@ def pair_posterior(
     lang2: str,
     bandwidth=AUTO,
 ) -> Pmf:
-    """Speedup posterior for one pair straight from the two datasets."""
-    calib, deltas = _calibration(calib_data, lang1, lang2)
+    """Speedup posterior for one pair straight from the two datasets.
+
+    An `AnalysisError` keeps its type and gains the pair as a message prefix.
+    """
     try:
+        calib, deltas = _calibration(calib_data, lang1, lang2)
         return speedup_posterior(
             primary_speedups(primary_data, lang1, lang2), calib, deltas, bandwidth=bandwidth
         )
-    except (EmptyCalibration, EmptyPrimary) as exc:
+    except AnalysisError as exc:
         raise type(exc)(f"{lang1} vs {lang2}: {exc}") from None
 
 

@@ -7,6 +7,8 @@ and each criterion's documented fallback runs unconditionally).
 
 import filecmp
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -180,6 +182,20 @@ def test_criterion_4_reconstructed_fixture_tracks_published_grid():
             worst = max(worst, abs(got - target))
             assert got == pytest.approx(target, abs=0.03)
     report(4, f"reconstructed fixture tracks the published grid (max dev {worst:.3f})")
+
+
+def test_criterion_4_recovery_script_ranks_bundled_counts_first():
+    """Provenance of the bundled outcome fixture: the recovery script's best
+    assignment is exactly the per-group counts data/project_outcomes.csv holds."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "recover_outcome_counts.py")],
+        capture_output=True, text=True, check=True,
+    )
+    top = proc.stdout.splitlines()[1].strip()
+    assert top.startswith("#0: agile=(1, 6, 22) structured=(0, 5, 13) ")
+    counts = load_outcomes(DATA / "project_outcomes.csv").to_counts(3)
+    assert (counts.counts_a, counts.counts_b) == ((1, 6, 22), (0, 5, 13))
+    report(4, f"recovery script ranks the bundled counts first ({top})")
 
 
 @pytest.mark.skipif(

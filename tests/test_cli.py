@@ -277,6 +277,33 @@ class TestComparePerformance:
             "A_B_vs_C.svg", "A_B_vs_Csharp.svg", "C_vs_Csharp.svg"]
         assert len(read_csv(out / "summary.csv")) - 1 == 3
 
+    @staticmethod
+    def _write_failing_third_language(tmp_path):
+        # A vs B fits; C's t3 ratio of 180 lies far outside the calibration prior's support
+        factors = {"A": 1, "B": 2, "C": 3}
+        primary, calib = tmp_path / "primary.csv", tmp_path / "calib.csv"
+        primary.write_text("language,task,metric,value\n" + "".join(
+            f"{lang},t{t},time,{180.0 if (lang, t) == ('C', 3) else float(f)}\n"
+            for lang, f in factors.items() for t in (1, 2, 3)
+        ))
+        calib.write_text("language,task,input_size,variant,metric,value\n" + "".join(
+            f"{lang},t{t},{size},v{v},time,{f * size * (1 + 0.01 * v + 0.02 * t)}\n"
+            for lang, f in factors.items() for t in (1, 2, 3) for size in (10, 100) for v in (1, 2)
+        ))
+        return ["compare-performance", "--primary", primary, "--calib", calib, "--plots"]
+
+    def test_later_failing_pair_leaves_no_plots(self, tmp_path):
+        out = tmp_path / "out"
+        assert run([*self._write_failing_third_language(tmp_path), "--out", out]) == 1
+        assert not out.exists()
+
+    def test_pair_error_names_the_pair(self, tmp_path, capsys):
+        args = [*self._write_failing_third_language(tmp_path), "--out", tmp_path / "out"]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: A vs C: grid does not overlap the sample support\n"
+        )
+
     def test_bad_bandwidth_fails(self, tmp_path, capsys):
         code = run(
             ["compare-performance", "--primary", DATA / "demo_primary.csv",
@@ -533,6 +560,55 @@ class TestConfigAndErrors:
         digest = next(iter(report["inputs"].values()))
         assert len(digest) == 64
         assert report["parameters"]["at_most"] == 2
+
+
+class TestReportAndInputs:
+    """Behaviour every command shares: empty inputs fail cleanly; the report names the inputs."""
+
+    @pytest.mark.parametrize("command", ["fit-defects", "estimate-total-bugs", "derived-plots"])
+    def test_header_only_bugs_fails_before_writing(self, tmp_path, capsys, command):
+        bugs = tmp_path / "bugs.csv"
+        bugs.write_text("class_id,found_simple,found_strong,public_methods,loc\n")
+        out = tmp_path / "out"
+        assert run([command, "--data", bugs, "--out", out]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {bugs}: no classes\n"
+        assert not out.exists()
+
+    def test_header_only_baselines_fails_before_writing(self, tmp_path, capsys):
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("category,k,probability\n")
+        out = tmp_path / "out"
+        args = ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                "--baselines", baselines, "--out", out]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            f"bayeskit: error: {baselines}: no baseline distributions\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,inputs",
+        [
+            (["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+              "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "0.1"],
+             [DATA / "project_outcomes.csv", DATA / "outcome_baselines.csv"]),
+            (["compare-performance", "--primary", DATA / "demo_primary.csv",
+              "--calib", DATA / "demo_bench.csv", "--metric", "memory"],
+             [DATA / "demo_primary.csv", DATA / "demo_bench.csv"]),
+            (["fit-defects", "--data", DATA / "demo_bugs.csv", *FAST_FIT],
+             [DATA / "demo_bugs.csv"]),
+            (["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "8",
+              "--beta", "0.9", "--e-steps", "3", "--E-steps", "2"],
+             [DATA / "demo_bugs.csv"]),
+            (["derived-plots", "--data", DATA / "demo_bugs.csv", "--bins", "20"],
+             [DATA / "demo_bugs.csv"]),
+        ],
+    )
+    def test_report_inputs_are_the_input_csvs(self, tmp_path, args, inputs):
+        assert run([*args, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["command"] == args[0]
+        assert sorted(report["inputs"]) == sorted(map(str, inputs))
 
 
 def test_cli_import_leaves_scipy_out():

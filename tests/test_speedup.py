@@ -522,3 +522,17 @@ class TestPairPipeline:
         assert s.pair == ("X", "Y")
         assert s.median > 1.0  # Y is consistently faster
         assert s.significance in (SIGNIFICANT, WEAK, NOT_SIGNIFICANT)
+
+    def test_pair_errors_keep_their_type_and_name_the_pair(self):
+        calib = {
+            (lang, "t1", size, variant): f * size * (1 + 0.01 * v)
+            for lang, f in (("X", 1.0), ("Y", 3.0))
+            for size in (10, 100)
+            for v, variant in ((1, "v1"), (2, "v2"))
+        }
+        # a primary ratio of 60 lies far outside the calibration prior's support
+        primary = {("X", "p1", 1, "best"): 3.0, ("Y", "p1", 1, "best"): 180.0}
+        with pytest.raises(InvalidGrid, match="^X vs Y: grid does not overlap"):
+            speedup.pair_posterior(dataset(calib), dataset(primary), "X", "Y")
+        with pytest.raises(EmptyCalibration, match="^X vs Z: no calibration speedups"):
+            speedup.pair_posterior(dataset(calib), dataset(primary), "X", "Z")
