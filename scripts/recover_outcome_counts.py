@@ -22,22 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
+from bayeskit.datasets import load_baselines  # noqa: E402
 from bayeskit.outcomes import _compositions, _scheme_weights, enumerate_simplex  # noqa: E402
-
-BASELINES = {
-    "A": (0.07, 0.30, 0.63),
-    "AIL": (0.08, 0.27, 0.65),
-    "AILT": (0.10, 0.28, 0.62),
-    "AIT": (0.11, 0.29, 0.60),
-    "AL": (0.07, 0.27, 0.66),
-    "ALT": (0.11, 0.29, 0.60),
-    "AT": (0.12, 0.31, 0.57),
-    "IT": (0.12, 0.29, 0.59),
-    "T": (0.18, 0.32, 0.50),
-}
-NAMES = list(BASELINES)
 
 FACTOR_TABLE = {
     "uniform": (0.25, 0.26, 0.17, 0.14, 0.29, 0.12, 0.08, 0.10, 0.01),
@@ -51,6 +40,8 @@ STEP = 0.005
 
 
 def main():
+    # the nine published distributions, sorted by name as FACTOR_TABLE's columns are
+    baselines = load_baselines(ROOT / "data" / "outcome_baselines.csv")
     simplex = enumerate_simplex(3, STEP)
     probs = np.array([p.probs for p in simplex])
     # zero entries knocked down far enough that exp(count * log p) underflows to 0
@@ -63,8 +54,8 @@ def main():
     lik_s = np.exp(d_s @ logp.T)
 
     worst = np.zeros((len(d_a), len(d_s)))
-    for column, name in enumerate(NAMES):
-        base_mean = float(np.dot([0, 1, 2], BASELINES[name]))
+    for column, baseline in enumerate(baselines.values()):
+        base_mean = baseline.mean()
         better = means > base_mean + 1e-12
         delta = np.abs(means - base_mean)
         for scheme, row in FACTOR_TABLE.items():

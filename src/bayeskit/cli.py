@@ -117,7 +117,10 @@ def _bandwidth(text: str):
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(n.strip() for n in text.split(",") if n.strip())
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if len(set(names)) < len(names):
+        raise InvalidValue(f"repeated name in {text!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,8 @@ def _parse_option(f, value):
         parsed = parse(_as_text(value, parse))
     except ValueError:
         raise InvalidValue(f"{_flag(f)}: cannot parse {value!r} ({f.metadata['help']})") from None
+    except InvalidValue as exc:
+        raise InvalidValue(f"{_flag(f)}: {exc}") from None
     bad = [v for v in (parsed if isinstance(parsed, tuple) else (parsed,)) if v not in choices]
     if choices and bad:
         raise InvalidValue(f"{_flag(f)}: unknown value(s) {bad}; expected one of {choices}")

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidProbability, NonPositiveParams
-from .pmf import JointPmf2D, Pmf, _shift_exp
+from .pmf import JointPmf2D, Pmf, _check_steps, _logsumexp, _shift_exp
 
 #: evaluation point standing in for x = 0 where the density diverges (shape < 1)
 PDF_ZERO_EPS = 1e-12
@@ -80,18 +80,14 @@ class EffectivenessGrid:
     strong_steps: int = DEFAULT_E_STEPS[1]
 
     def __post_init__(self):
-        for (lo, hi), steps in (
-            (self.e_range, self.e_steps),
-            (self.strong_range, self.strong_steps),
-        ):
+        axes = (("e", self.e_range, "e_steps"), ("E", self.strong_range, "strong_steps"))
+        for axis, (lo, hi), name in axes:
             if not (0.0 < lo <= hi <= 1.0):
                 raise InvalidProbability(
                     f"effectiveness range must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})"
                 )
-            if (lo < hi and steps < 2) or (lo == hi and steps != 1):
-                raise InvalidProbability(
-                    f"range ({lo}, {hi}) is incompatible with {steps} grid steps"
-                )
+            steps = _check_steps(axis, lo, hi, getattr(self, name), InvalidProbability)
+            object.__setattr__(self, name, steps)  # a whole float count becomes the int linspace needs
 
     def e_points(self) -> np.ndarray:
         return np.linspace(self.e_range[0], self.e_range[1], self.e_steps)
@@ -158,20 +154,14 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
         raise NonPositiveParams(
             f"bad parameter grid {grid!r}: bounds must be positive, finite and ordered"
         )
-    # as in EffectivenessGrid: a range needs at least 2 steps, a single point exactly 1
-    for axis, lo, hi, steps in (("alpha", a_lo, a_hi, n_a), ("beta", b_lo, b_hi, n_b)):
-        if (lo < hi and steps < 2) or (lo == hi and steps != 1):
-            need = "at least 2 grid steps" if lo < hi else "exactly 1 grid step"
-            raise NonPositiveParams(f"{axis} range ({lo}, {hi}) needs {need}, got {steps}")
-    alphas = np.geomspace(a_lo, a_hi, int(n_a))
+    alphas = np.geomspace(a_lo, a_hi, _check_steps("alpha", a_lo, a_hi, n_a, NonPositiveParams))
     log_a = np.log(alphas)[:, None]
-    betas = np.linspace(b_lo, b_hi, int(n_b))
+    betas = np.linspace(b_lo, b_hi, _check_steps("beta", b_lo, b_hi, n_b, NonPositiveParams))
 
     x, m = np.unique(data + 1.0, return_counts=True)
     n, log_x = data.size, np.log(x)
-    terms = np.log(m) + np.outer(betas, log_x)  # log m + b log x, one row per beta
-    top = terms.max(axis=1)
-    log_power_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    # log m + b log x, one row per beta
+    log_power_sum = _logsumexp(np.log(m) + np.outer(betas, log_x), axis=1)
     # a power sum that overflows to inf is a likelihood of exactly 0 there
     with np.errstate(over="ignore"):
         power_sum = np.exp(log_power_sum - betas * log_a)

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from .errors import EmptySamples, EverythingExcluded, InvalidGrid
-from .pmf import Pmf
+from .pmf import Pmf, _check_steps, _is_axis
 
 AUTO = "auto"
 
@@ -35,11 +35,9 @@ class DensityGrid:
     def __init__(self, grid, density):
         g = np.asarray(grid, dtype=float)
         d = np.asarray(density, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise InvalidGrid("grid needs at least two points")
+        if g.size < 2 or not _is_axis(g):
+            raise InvalidGrid("grid must be 1-D, finite and strictly increasing, with at least two points")
         steps = np.diff(g)
-        if (steps <= 0).any():
-            raise InvalidGrid("grid must be strictly increasing")
         scale = max(abs(float(g[0])), abs(float(g[-1])), 1.0)
         if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-9 * scale):
             raise InvalidGrid("grid spacing must be uniform")
@@ -67,11 +65,19 @@ class DensityGrid:
         return float(self._grid[1] - self._grid[0])
 
 
-def scott_bandwidth(samples) -> float:
-    """Scott's rule n**(-1/5) * sigma, with sigma floored for degenerate data."""
+def _finite_samples(samples, what: str) -> np.ndarray:
+    """`samples` as a float array, checked to be nonempty and finite."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
-        raise EmptySamples("bandwidth of an empty sample set")
+        raise EmptySamples(f"{what} of an empty sample set")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} samples must be finite, got {float(x[~np.isfinite(x)][0])}")
+    return x
+
+
+def scott_bandwidth(samples) -> float:
+    """Scott's rule n**(-1/5) * sigma, with sigma floored for degenerate data."""
+    x = _finite_samples(samples, "bandwidth")
     sigma = x.std(ddof=1) if x.size > 1 else 0.0
     return max(float(sigma), SIGMA_FLOOR) * x.size ** (-1.0 / 5.0)
 
@@ -155,12 +161,6 @@ def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
     return out
 
 
-def default_grid(samples, bandwidth: float, n_points: int = DEFAULT_GRID_POINTS):
-    """Grid covering the samples plus three bandwidths of kernel tail."""
-    x = np.asarray(samples, dtype=float)
-    return float(x.min() - 3.0 * bandwidth), float(x.max() + 3.0 * bandwidth), n_points
-
-
 def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     """Gaussian-kernel density estimate of `samples` on a uniform grid.
 
@@ -168,18 +168,16 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     ``(lo, hi, n_points)`` triple; when omitted the grid spans the samples
     plus three bandwidths on each side with 2048 points.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptySamples("kde of an empty sample set")
+    x = _finite_samples(samples, "kde")
     bw = scott_bandwidth(x) if bandwidth == AUTO or bandwidth is None else float(bandwidth)
-    if not bw > 0:  # also rejects NaN
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    if not 0 < bw < np.inf:  # also rejects NaN
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     if grid_spec is None:
-        grid_spec = default_grid(x, bw)
+        grid_spec = float(x.min() - 3.0 * bw), float(x.max() + 3.0 * bw), DEFAULT_GRID_POINTS
     lo, hi, n_points = grid_spec
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi) or int(n_points) < 2:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidGrid(f"bad grid spec {grid_spec!r}")
-    grid = np.linspace(lo, hi, int(n_points))
+    grid = np.linspace(lo, hi, _check_steps("kde", lo, hi, n_points, InvalidGrid))
     dens = gaussian_mixture_density(grid, x, bw)
     if dens.sum() <= 0.0:
         raise InvalidGrid("grid does not overlap the sample support")

@@ -37,6 +37,7 @@ from .errors import (
     OutOfRange,
     ZeroDenominator,
 )
+from .pmf import _logsumexp
 
 WEIGHT_SCHEMES = ("uniform", "triangle", "power", "exp")
 
@@ -235,13 +236,6 @@ def scheme_weight(p: OutcomeDistribution, baseline: OutcomeDistribution, scheme:
     return float(_scheme_weights(delta, p.k, scheme))
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    top = x.max(initial=-np.inf)
-    if top == -np.inf:
-        return -math.inf
-    return float(top + np.log(np.exp(x - top).sum()))
-
-
 def _log_likelihoods(
     data: OutcomeCounts, baseline: OutcomeDistribution, scheme: str, step: float
 ) -> tuple[float, float]:
@@ -263,8 +257,8 @@ def _log_likelihoods(
     log_a = log_w + _log_multinomial(data.counts_a, probs)
     log_b = log_w + _log_multinomial(data.counts_b, probs)
     return (
-        _logsumexp(log_a[better]) + _logsumexp(log_b[~better]),
-        _logsumexp(log_a) + _logsumexp(log_b),
+        float(_logsumexp(log_a[better]) + _logsumexp(log_b[~better])),
+        float(_logsumexp(log_a) + _logsumexp(log_b)),
     )
 
 

@@ -97,8 +97,6 @@ def _extent(values: np.ndarray):
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 

@@ -15,7 +15,7 @@ Python numbers that ``tolist`` gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Number
+from numbers import Number, Real
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,29 @@ def _shift_exp(log_weights, axis=None) -> np.ndarray:
     return np.exp(logw - top)
 
 
+def _logsumexp(x, axis=None):
+    """log(sum(exp(x))) along `axis` (all of x by default), max-shifted; -inf where all terms are -inf."""
+    top = np.max(x, axis=axis, keepdims=True, initial=-np.inf)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.squeeze(top, axis) + np.log(np.exp(x - top).sum(axis=axis))
+
+
+def _check_steps(axis: str, lo, hi, steps, error) -> int:
+    """`steps` as an int: whole, at least 2 for a range, exactly 1 for a point; else `error`."""
+    if not (isinstance(steps, Real) and float(steps).is_integer()):
+        raise error(f"{axis} grid step count must be a whole number, got {steps!r}")
+    if (lo < hi and steps < 2) or (lo == hi and steps != 1):
+        need = "at least 2 grid steps" if lo < hi else "exactly 1 grid step"
+        raise error(f"{axis} range ({lo}, {hi}) needs {need}, got {steps}")
+    return int(steps)
+
+
+def _is_axis(x: np.ndarray) -> bool:
+    """Whether the float array `x` is a 1-D axis of finite, strictly increasing points."""
+    return x.ndim == 1 and bool(np.isfinite(x).all()) and bool((np.diff(x) > 0).all())
+
+
 def _array_weights(support, weights):
     """`weights` as a fresh float array if the array route takes the pair, else None.
 
@@ -49,10 +72,9 @@ def _array_weights(support, weights):
         x = np.asarray(support)
     except (TypeError, ValueError, OverflowError):
         return None
-    if x.dtype.kind not in "iuf" or x.ndim != 1 or x.shape != w.shape or not w.size:
+    if x.dtype.kind not in "iuf" or x.shape != w.shape or not w.size:
         return None
-    x = x.astype(float, copy=False)
-    ok = np.isfinite(x).all() and (np.diff(x) > 0).all() and np.isfinite(w).all() and (w >= 0).all()
+    ok = _is_axis(x.astype(float, copy=False)) and np.isfinite(w).all() and (w >= 0).all()
     return w if ok else None
 
 
@@ -174,22 +196,13 @@ class Pmf:
         return CredibleInterval(self.quantile(tail), self.quantile(1.0 - tail), mass)
 
 
-def _check_likelihoods(lik: np.ndarray) -> None:
-    if not ((lik >= 0) & (lik < np.inf)).all():  # NaN fails both comparisons
-        raise ValueError("likelihood values must be finite and nonnegative")
-
-
 def update(prior: Pmf, likelihood: Callable[[Any], float]) -> Pmf:
     """Bayes update: posterior mass at h is proportional to prior[h] * likelihood(h)."""
-    lik = np.array([float(likelihood(h)) for h in prior.support], dtype=float)
-    _check_likelihoods(lik)
-    with np.errstate(divide="ignore"):
-        log_post = np.log(prior.probs) + np.log(lik)
-    return Pmf.from_log_weights(prior.support, log_post)
+    return iterate_update(prior, [None], lambda _, h: likelihood(h))
 
 
 def iterate_update(prior: Pmf, data: Iterable, likelihood: Callable[[Any, Any], float]) -> Pmf:
-    """Fold `update` over a dataset; equals the one-shot product update.
+    """Bayes update by each datum in turn; equals the one-shot product update.
 
     Log-likelihoods are accumulated and exponentiated once, so the result is
     independent of the order of the data.
@@ -198,7 +211,8 @@ def iterate_update(prior: Pmf, data: Iterable, likelihood: Callable[[Any, Any], 
         logw = np.log(prior.probs).copy()
         for datum in data:
             lik = np.array([float(likelihood(datum, h)) for h in prior.support], dtype=float)
-            _check_likelihoods(lik)
+            if not ((lik >= 0) & (lik < np.inf)).all():  # NaN fails both comparisons
+                raise ValueError("likelihood values must be finite and nonnegative")
             logw += np.log(lik)
     return Pmf.from_log_weights(prior.support, logw)
 
@@ -226,8 +240,8 @@ class JointPmf2D:
         x = np.asarray(x_grid, dtype=float)
         y = np.asarray(y_grid, dtype=float)
         w = np.asarray(weights, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or (np.diff(x) <= 0).any() or (np.diff(y) <= 0).any():
-            raise ValueError("grid axes must be 1-D and strictly increasing")
+        if not (_is_axis(x) and _is_axis(y)):
+            raise ValueError("grid axes must be 1-D, finite and strictly increasing")
         if w.shape != (x.size, y.size):
             raise ValueError(f"weights shape {w.shape} does not match grid {(x.size, y.size)}")
         if (w < 0).any() or not np.isfinite(w).all():

@@ -211,6 +211,69 @@ class TestCompareOutcomes:
         assert "rescale-r" in capsys.readouterr().err
 
 
+class TestRepeatedNames:
+    """A repeated name in a list option fails naming the flag, so the CSV and the JSON agree."""
+
+    def test_repeated_flag_names_fail_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out,
+             "--baseline-set", "A,A,T", "--scheme", "uniform,uniform"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "bayeskit: error: --baseline-set: repeated name in 'A,A,T'\n"
+        assert not out.exists()
+
+    def test_repeated_scheme_fails(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out,
+             "--scheme", "uniform, exp,uniform"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: --scheme: repeated name in 'uniform, exp,uniform'\n"
+        )
+        assert not out.exists()
+
+    def test_repeated_config_list_names_fail(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": str(DATA / "project_outcomes.csv"),
+            "baselines": str(DATA / "outcome_baselines.csv"),
+            "baseline_set": ["T", "AL", "T"],
+        }))
+        out = tmp_path / "out"
+        assert run(["compare-outcomes", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == "bayeskit: error: --baseline-set: repeated name in 'T,AL,T'\n"
+        assert not out.exists()
+
+    def test_distinct_names_keep_their_order(self, tmp_path):
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
+             "--baseline-set", "T,A", "--scheme", "exp,uniform", "--simplex-step", "0.1"]
+        )
+        assert code == 0
+        rows = read_csv(tmp_path / "outcome_factors.csv")
+        assert rows[0] == ["scheme", "T", "A"]
+        assert [r[0] for r in rows[1:]] == ["exp", "uniform"]
+
+    def test_baselines_disagreeing_on_k_fail(self, tmp_path, capsys):
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text(
+            "category,k,probability\nX,0,0.5\nX,1,0.5\nY,0,0.2\nY,1,0.3\nY,2,0.5\n"
+        )
+        out = tmp_path / "out"
+        args = ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                "--baselines", baselines, "--out", out]
+        assert run(args) == 1
+        assert capsys.readouterr().err == "bayeskit: error: baselines disagree on K: [2, 3]\n"
+        assert not out.exists()
+
+
 class TestComparePerformance:
     def test_demo_pairs_and_graph(self, tmp_path):
         code = run(
@@ -322,6 +385,25 @@ class TestComparePerformance:
         assert code == 1
         assert f"--bandwidth: cannot parse '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_numeric_bandwidth_reaches_the_posterior(self, tmp_path):
+        from bayeskit import datasets, speedup
+
+        code = run(
+            ["compare-performance", "--primary", DATA / "demo_primary.csv",
+             "--calib", DATA / "demo_bench.csv", "--metric", "memory",
+             "--out", tmp_path, "--bandwidth", "0.5"]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["bandwidth"] == 0.5
+        first = report["results"]["summaries"][0]
+        calib = datasets.load_benchmarks(DATA / "demo_bench.csv")["memory"]
+        primary = datasets.load_primary(DATA / "demo_primary.csv")["memory"]
+        want = speedup.compare_pair(calib, primary, *first["pair"], 0.95, bandwidth=0.5)
+        assert (first["median"], first["mean"]) == (want.median, want.mean)
+        auto = speedup.compare_pair(calib, primary, *first["pair"], 0.95)
+        assert auto.mean != want.mean
 
     def test_missing_metric_fails(self, tmp_path, capsys):
         calib = tmp_path / "calib.csv"
@@ -533,6 +615,39 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == (
             "bayeskit: error: n_max=0 leaves the Weibull prior no mass on totals 0..0\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", [["--alpha", "8"], ["--beta", "0.9"]])
+    def test_alpha_and_beta_go_together(self, tmp_path, capsys, given):
+        out = tmp_path / "out"
+        assert run(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", out, *given]) == 1
+        assert capsys.readouterr().err == "bayeskit: error: --alpha and --beta must be given together\n"
+        assert not out.exists()
+
+    def test_blank_public_methods_give_no_per_method_value(self, tmp_path):
+        bugs = tmp_path / "bugs.csv"
+        bugs.write_text(
+            "class_id,found_simple,found_strong,public_methods,loc\nc1,2,5,4,100\nc2,1,3,,\n"
+        )
+        out = tmp_path / "out"
+        code = run(
+            ["estimate-total-bugs", "--data", bugs, "--out", out, "--alpha", "8", "--beta", "0.9",
+             "--e-steps", "2", "--E-steps", "2"]
+        )
+        assert code == 0
+        rows = read_csv(out / "total_bugs.csv")
+        assert rows[1][-1] != "" and rows[2][-1] == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["rows"][0]["per_method"] > 0
+        assert report["results"]["rows"][1]["per_method"] is None
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"fit"', "3"])
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["derived-plots", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {cfg}: config must be a JSON object\n"
         assert not out.exists()
 
     def test_malformed_config_reported(self, tmp_path, capsys):

@@ -183,6 +183,19 @@ class TestFitWeibull:
             fit_weibull_posterior([1, 2, 3], "uniform", grid)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("grid,message", [
+        (((1, 9), (0.5, 2), (2.5, 3)), "alpha grid step count must be a whole number, got 2.5"),
+        (((1, 9), (0.5, 2), (4, 3.7)), "beta grid step count must be a whole number, got 3.7"),
+    ])
+    def test_step_count_must_be_whole(self, grid, message):
+        with pytest.raises(NonPositiveParams) as info:
+            fit_weibull_posterior([1, 2, 3], "uniform", grid)
+        assert str(info.value) == message
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"bug counts must be nonnegative, got \[1, -2\]"):
+            fit_weibull_posterior([1, -2], "uniform")
+
     def test_overflowing_power_sums_are_zero_likelihood(self):
         grid = ((1e-300, 1e-299), (0.1, 3.0), (20, 10))
         with np.errstate(over="raise"):
@@ -297,6 +310,22 @@ class TestEffectivenessPosterior:
         with pytest.raises(InvalidProbability):
             EffectivenessGrid((0.2, 0.2), (0.7, 0.9), 3, 2)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"e_steps": 2.5}, "e grid step count must be a whole number, got 2.5"),
+        ({"strong_steps": 3.7}, "E grid step count must be a whole number, got 3.7"),
+        ({"e_steps": 1}, "e range (0.15, 0.5) needs at least 2 grid steps, got 1"),
+        ({"strong_range": (0.9, 0.9)}, "E range (0.9, 0.9) needs exactly 1 grid step, got 6"),
+    ])
+    def test_step_count_rejections_name_the_axis(self, kwargs, message):
+        with pytest.raises(InvalidProbability) as info:
+            EffectivenessGrid(**kwargs)
+        assert str(info.value) == message
+
+    def test_whole_float_step_count_is_stored_as_int(self):
+        grid = EffectivenessGrid(e_steps=3.0)
+        assert grid.e_steps == 3 and type(grid.e_steps) is int
+        np.testing.assert_array_equal(grid.e_points(), np.linspace(0.15, 0.5, 3))
+
 
 class TestClassTotalBugs:
     def test_perfect_grid_point_mass_at_found(self):
@@ -378,3 +407,19 @@ class TestDerivedProbAtMost:
         assert len(pmf.support) <= 20
         assert all(0 <= x <= 1 for x in pmf.support)
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestBugCounts:
+    @pytest.mark.parametrize("args,message", [
+        (("c1", -1, 2), "bug counts must be nonnegative"),
+        (("c1", 1, -2), "bug counts must be nonnegative"),
+        (("c1", 1, 2, 0), "public method count must be positive"),
+        (("c1", 1, 2, 3, -5), "loc must be positive"),
+    ])
+    def test_bad_values_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            BugCounts(*args)
+
+    def test_optional_fields_may_be_missing(self):
+        rec = BugCounts("c1", 0, 0)
+        assert rec.public_methods is None and rec.loc is None

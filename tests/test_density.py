@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,33 @@ class TestKde:
         with pytest.raises(InvalidGrid):
             kde([0.5], 1.0, spec)
 
+    def test_infinite_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="^bandwidth must be positive and finite, got inf$"):
+            kde([0.5], float("inf"), (0, 1, 5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bandwidth", [1.0, AUTO])
+    def test_non_finite_sample_named(self, bad, bandwidth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^kde samples must be finite, got {bad}$"):
+                kde([0.5, bad], bandwidth, (0, 1, 5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_scott_bandwidth_rejects_non_finite_sample(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^bandwidth samples must be finite, got {bad}$"):
+                scott_bandwidth([1.0, bad])
+
+    @pytest.mark.parametrize("n_points", [3.7, 2.5, float("nan")])
+    def test_grid_point_count_must_be_whole(self, n_points):
+        with pytest.raises(InvalidGrid, match="kde grid step count must be a whole number"):
+            kde([0.5], 1.0, (0, 1, n_points))
+
+    def test_whole_float_point_count_accepted(self):
+        assert kde([0.5], 1.0, (0, 1, 5.0)).grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
     def test_grid_missing_all_mass(self):
         with pytest.raises(InvalidGrid):
             kde([0.0], 0.001, (1000, 1001, 16))
@@ -103,6 +131,20 @@ class TestKde:
         sigma = np.std(samples, ddof=1)
         reference = gaussian_kde(samples, bw_method=bw / sigma)
         np.testing.assert_allclose(d.density, reference(d.grid), rtol=1e-5, atol=1e-8)
+
+
+class TestDensityGrid:
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [0.0, np.nan, 2.0], [-np.inf, 0.0, 1.0]])
+    def test_non_finite_grid_point_rejected(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match="grid must be 1-D, finite and strictly increasing"):
+                DensityGrid(grid, np.ones(3))
+
+    @pytest.mark.parametrize("grid", [[0.0], [[0.0, 1.0], [2.0, 3.0]], [0.0, 2.0, 1.0]])
+    def test_short_nested_or_unsorted_grid_rejected(self, grid):
+        with pytest.raises(InvalidGrid, match="grid must be 1-D"):
+            DensityGrid(grid, np.ones(np.shape(grid)))
 
 
 class TestExcludeInterval:

@@ -44,6 +44,26 @@ SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
 SURVEY_T = OutcomeDistribution((0.18, 0.32, 0.50))
 
 
+class TestOutcomeDistribution:
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatch, match="at least one category"):
+            OutcomeDistribution(())
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            OutcomeDistribution((1.2, -0.2))
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.4), (0.6, 0.6), (0.5, 0.5 + 2e-6)])
+    def test_probabilities_must_sum_to_one(self, probs):
+        with pytest.raises(ValueError, match="not 1"):
+            OutcomeDistribution(probs)
+
+    def test_near_one_total_renormalized(self):
+        dist = OutcomeDistribution((0.5, 0.5 + 5e-7))
+        assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-15)
+        assert dist.k == 2
+
+
 class TestRescaleOutcome:
     def test_top_maps_to_top(self):
         assert rescale_outcome(10, 1, 2) == 2

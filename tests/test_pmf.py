@@ -16,8 +16,16 @@ from bayeskit.defects import (
     total_bugs_posterior,
 )
 from bayeskit.density import kde, to_pmf
-from bayeskit.errors import AllZeroMass, InvalidMass, NonNumericSupport
-from bayeskit.pmf import JointPmf2D, Pmf, iterate_update, mixture, update
+from bayeskit.errors import AllZeroMass, InvalidGrid, InvalidMass, NonNumericSupport
+from bayeskit.pmf import (
+    JointPmf2D,
+    Pmf,
+    _check_steps,
+    _logsumexp,
+    iterate_update,
+    mixture,
+    update,
+)
 
 from oracles import interval_oracle, quantile_oracle
 
@@ -71,6 +79,17 @@ class TestConstruction:
         pmf = Pmf({1: 0.2, 2: 17.3, 3: 4.0})
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_prob_of_absent_point_is_zero(self):
+        pmf = Pmf({1: 1, 2: 3})
+        assert pmf.prob(2) == 0.75
+        assert pmf.prob(5) == 0.0
+        assert pmf.prob("x") == 0.0
+
+    def test_len_and_repr(self):
+        pmf = Pmf({2: 3, 1: 1})
+        assert len(pmf) == 2
+        assert repr(pmf) == "Pmf({1: 0.25, 2: 0.75})"
+
 
 class TestUpdate:
     def test_rare_condition_reliable_detector(self):
@@ -98,6 +117,12 @@ class TestUpdate:
     def test_negative_likelihood_rejected(self):
         with pytest.raises(ValueError):
             update(Pmf({1: 1}), lambda h: -1.0)
+
+    def test_is_iterate_update_over_one_datum(self):
+        prior = Pmf({0.1: 1, 0.4: 2, 0.7: 3, 0.9: 0})
+        got = update(prior, lambda h: h * h)
+        want = iterate_update(prior, ["d"], lambda d, h: h * h)
+        assert_same_pmf(got, want)
 
 
 class TestIterateUpdate:
@@ -269,6 +294,14 @@ class TestJointPmf2D:
         with pytest.raises(AllZeroMass):
             JointPmf2D.from_log_weights([0, 1], [0, 1], np.full((2, 2), -np.inf))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_axis_point_rejected(self, bad, axis):
+        grids = {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.0, 2.0]}
+        grids[axis][2 if bad != -np.inf else 0] = bad
+        with pytest.raises(ValueError, match="grid axes must be 1-D, finite and strictly increasing"):
+            JointPmf2D(grids["x"], grids["y"], np.ones((3, 3)))
+
 
 class TestIncreasingFastPath:
     """`Pmf(support, weights)` on the array route gives exactly what the dict route gives.
@@ -423,3 +456,46 @@ class TestNonFiniteInputs:
         logw[1, 0] = value
         with pytest.raises(ValueError, match=r"NaN or \+inf"):
             JointPmf2D.from_log_weights([0, 1], [0, 1], logw)
+
+
+class TestSharedHelpers:
+    """The one log-sum-exp and the one grid step-count check every pipeline uses."""
+
+    def test_logsumexp_is_the_max_shifted_sum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        terms = rng.normal(0.0, 40.0, size=(6, 9))
+        top = terms.max(axis=1)
+        want = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        assert _logsumexp(terms, axis=1).tobytes() == want.tobytes()
+        flat = terms.ravel()
+        assert _logsumexp(flat) == flat.max() + np.log(np.exp(flat - flat.max()).sum())
+
+    def test_logsumexp_of_no_finite_term_is_minus_inf(self):
+        rows = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        np.testing.assert_array_equal(_logsumexp(rows, axis=1), [-np.inf, 0.0])
+        assert _logsumexp(np.array([])) == -np.inf
+        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
+
+    def test_logsumexp_does_not_overflow(self):
+        assert _logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + np.log(2.0))
+
+    @pytest.mark.parametrize("steps", [2, 5, 5.0, np.int64(7), np.float64(3.0)])
+    def test_whole_step_counts_become_ints(self, steps):
+        n = _check_steps("x", 0.0, 1.0, steps, InvalidGrid)
+        assert n == steps and type(n) is int
+
+    @pytest.mark.parametrize("steps", [2.5, 3.7, float("nan"), float("inf"), "4", None])
+    def test_non_whole_step_counts_rejected(self, steps):
+        with pytest.raises(InvalidGrid) as info:
+            _check_steps("x", 0.0, 1.0, steps, InvalidGrid)
+        assert str(info.value) == f"x grid step count must be a whole number, got {steps!r}"
+
+    @pytest.mark.parametrize("lo,hi,steps,need", [
+        (0.0, 1.0, 1, "at least 2 grid steps"),
+        (0.5, 0.5, 2, "exactly 1 grid step"),
+        (0.5, 0.5, 0, "exactly 1 grid step"),
+    ])
+    def test_step_count_must_fit_the_range(self, lo, hi, steps, need):
+        with pytest.raises(InvalidGrid) as info:
+            _check_steps("x", lo, hi, steps, InvalidGrid)
+        assert str(info.value) == f"x range ({lo}, {hi}) needs {need}, got {steps}"
