@@ -284,14 +284,20 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dic
         raise InvalidValue(f"--rescale-r {cfg.rescale_r} conflicts with K={k} baselines")
 
     names = cfg.baseline_set or tuple(sorted(baselines))
-    resolved = {}
+    resolved, named = {}, {}
     for name in names:
         if name in baselines:
-            resolved[name] = baselines[name]
+            key, resolved[name] = name, baselines[name]
         elif len(name) > 1 and all(ch in baselines for ch in name):
-            resolved[name] = outcomes.baseline_distribution(list(name), baselines)
+            # a composed name averages the sorted set of its letters: TT is T, and TAA is TA
+            letters = "".join(sorted(set(name)))
+            key = letters if len(letters) == 1 else ("composed", letters)
+            resolved[name] = outcomes.baseline_distribution(letters, baselines)
         else:
             raise InvalidValue(f"unknown baseline {name!r} (not in file, not composable)")
+        if key in named:
+            raise InvalidValue(f"--baseline-set: {named[key]!r} and {name!r} name the same baseline")
+        named[key] = name
 
     counts = table.to_counts(k, cfg.rescale_b, cfg.hypothesis_group)
     factors: dict[str, dict[str, dict]] = {}

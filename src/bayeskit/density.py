@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from .errors import EmptySamples, EverythingExcluded, InvalidGrid
+from .errors import EmptySamples, EverythingExcluded, InvalidGrid, InvalidValue
 from .pmf import Pmf, _check_steps, _is_axis
 
 AUTO = "auto"
@@ -76,10 +76,22 @@ def _finite_samples(samples, what: str) -> np.ndarray:
 
 
 def scott_bandwidth(samples) -> float:
-    """Scott's rule n**(-1/5) * sigma, with sigma floored for degenerate data."""
+    """Scott's rule n**(-1/5) * sigma, with sigma floored for degenerate data.
+
+    Sigma is taken of the samples scaled by a power of two that brings the
+    largest magnitude into [0.5, 1), so no square overflows, and scaled back;
+    both scalings are exact.  A spread whose bandwidth is not finite raises
+    `InvalidValue`.
+    """
     x = _finite_samples(samples, "bandwidth")
-    sigma = x.std(ddof=1) if x.size > 1 else 0.0
-    return max(float(sigma), SIGMA_FLOOR) * x.size ** (-1.0 / 5.0)
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(np.ldexp(x, -exponent).std(ddof=1), exponent) if x.size > 1 else 0.0
+    bw = max(float(sigma), SIGMA_FLOOR) * x.size ** (-1.0 / 5.0)
+    if bw == np.inf:
+        lo, hi = float(x.min()), float(x.max())
+        raise InvalidValue(f"bandwidth of samples spread over [{lo!r}, {hi!r}] is not finite")
+    return bw
 
 
 def _usable_cpus() -> int:

@@ -139,6 +139,39 @@ def ratio_grid(values, bandwidth: float, n_points: int = RATIO_GRID_POINTS):
     return (-span, span, n_points)
 
 
+#: a column whose log-posterior bound lies this far below a reached log posterior has
+#: mass exactly 0.0: the shift-by-max exp underflows below -745.14; the rest spares rounding
+_ZERO_MASS_MARGIN = 760.0
+
+
+def _can_hold_mass(log_prior, support, data, deltas, bandwidth) -> np.ndarray:
+    """Mask of the columns `support` whose posterior mass is not provably 0.0.
+
+    The bound ub(h) of `speedup_posterior` is one grid-length vector updated
+    datum by datum, never a P x G temporary.
+    """
+    lo, hi = min(deltas), max(deltas)
+    bound = log_prior + data.size * math.log(len(deltas))
+    x, gap = np.empty_like(support), np.empty_like(support)
+    with np.errstate(over="ignore"):
+        for d in data:
+            np.subtract(d, support, out=x)
+            np.subtract(x, hi, out=gap)
+            np.subtract(lo, x, out=x)
+            np.maximum(gap, x, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            gap /= bandwidth
+            gap *= gap
+            gap *= 0.5
+            bound -= gap
+    best = int(np.argmax(bound))
+    reached = log_prior[best]
+    with np.errstate(divide="ignore"):
+        for lik in gaussian_mixture_density(data - support[best], deltas, bandwidth):
+            reached += np.log(lik)
+    return bound >= reached - _ZERO_MASS_MARGIN
+
+
 def speedup_posterior(
     primary,
     calib,
@@ -152,8 +185,20 @@ def speedup_posterior(
     The prior is the kernel density of the calibration speedups with the
     impossible band (-1, 1] excluded; each primary observation d updates it
     with a likelihood proportional to the delta-scatter density at d - h.
-    The likelihood is evaluated only where the prior is positive.  Speedups
-    must be finite and bandwidths positive and finite (`InvalidValue`).
+    Speedups must be finite and bandwidths positive and finite (`InvalidValue`).
+
+    The likelihood is evaluated only where the posterior can hold mass: where
+    the prior is positive, and there only in columns h whose log posterior
+    may come within 760 of the largest.  A kernel sum over D deltas is at
+    most D * exp(-(gap / bw)**2 / 2), with gap the distance from d - h to
+    [min delta, max delta], so over P primary speedups
+    ub(h) = log prior(h) + P log D - sum_d (gap / bw)**2 / 2 bounds the log
+    posterior.  The exact log posterior L at the column of largest ub is a
+    value the posterior reaches, and a column with ub(h) < L - 760 lies more
+    than 745.14 below the maximum (15 to spare for rounding), where the
+    shift-by-max `exp` gives exactly 0.0; it is skipped with log posterior
+    -inf, and the output bytes are those of evaluating every column.  When L
+    is -inf nothing is skipped.
     """
     primary = [float(v) for v in primary]
     calib = [float(v) for v in calib]
@@ -179,18 +224,21 @@ def speedup_posterior(
     density = exclude_interval(kde(calib, bw_prior, grid_spec), -1.0, 1.0, half_open=True)
     prior = density.density * density.spacing
     prior /= prior.sum()  # the masses to_pmf gives, without building that pmf
-    # where the prior is 0 the log posterior is -inf whatever the data say, so the
-    # likelihood is evaluated only on the prior's support
-    live = prior > 0
-    support = density.grid[live]
-    liks = gaussian_mixture_density(np.array(primary)[:, None] - support[None, :], deltas, bw_delta)
+    # where the prior is 0 the log posterior is -inf whatever the data say, so only
+    # the prior's support is bounded, and the kernel sees only columns the bound keeps
+    cols = np.flatnonzero(prior > 0)
+    support = density.grid[cols]
+    log_post = np.log(prior[cols])
+    data = np.array(primary)
+    keep = _can_hold_mass(log_post, support, data, deltas, bw_delta)
+    cols, support, log_post = cols[keep], support[keep], log_post[keep]
+    liks = gaussian_mixture_density(data[:, None] - support, deltas, bw_delta)
     with np.errstate(divide="ignore"):
-        log_post = np.log(prior)
-        live_post = log_post[live]
         for lik in liks:  # row by row in data order, so the rounding matches iterate_update's
-            live_post += np.log(lik)
-    log_post[live] = live_post
-    return Pmf.from_log_weights(density.grid, log_post)
+            log_post += np.log(lik)
+    log_weights = np.full(prior.shape, -np.inf)
+    log_weights[cols] = log_post
+    return Pmf.from_log_weights(density.grid, log_weights)
 
 
 @dataclass(frozen=True)

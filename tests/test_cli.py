@@ -250,6 +250,34 @@ class TestRepeatedNames:
         assert capsys.readouterr().err == "bayeskit: error: --baseline-set: repeated name in 'T,AL,T'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("names, first, second", [
+        ("T,TT,AT,TA", "T", "TT"), ("A,TA,AT,ATA", "TA", "ATA"), ("AT,TAT,AAT", "TAT", "AAT"),
+    ])
+    def test_names_of_one_baseline_fail_before_writing(self, tmp_path, capsys, names, first, second):
+        # a composed name averages the sorted set of its letters
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out,
+             "--baseline-set", names, "--scheme", "uniform", "--simplex-step", "0.1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"bayeskit: error: --baseline-set: {first!r} and {second!r} name the same baseline\n"
+        )
+        assert not out.exists()
+
+    def test_file_row_and_composition_of_its_letters_are_distinct(self, tmp_path):
+        # AT is a row of the file; TA averages the rows A and T
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
+             "--baseline-set", "AT,TA", "--scheme", "exp", "--simplex-step", "0.1"]
+        )
+        assert code == 0
+        [header, row] = read_csv(tmp_path / "outcome_factors.csv")
+        assert header == ["scheme", "AT", "TA"] and row[1] != row[2]
+
     def test_distinct_names_keep_their_order(self, tmp_path):
         code = run(
             ["compare-outcomes", "--data", DATA / "project_outcomes.csv",

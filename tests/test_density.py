@@ -22,7 +22,7 @@ from bayeskit.density import (
     scott_bandwidth,
     to_pmf,
 )
-from bayeskit.errors import EmptySamples, EverythingExcluded, InvalidGrid
+from bayeskit.errors import EmptySamples, EverythingExcluded, InvalidGrid, InvalidValue
 
 from oracles import gaussian_mixture_oracle
 
@@ -108,6 +108,29 @@ class TestKde:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^bandwidth samples must be finite, got {bad}$"):
                 scott_bandwidth([1.0, bad])
+
+    def test_scott_bandwidth_of_huge_spread_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bw = scott_bandwidth([1e308, -1e308])
+        assert bw == pytest.approx(2 ** 0.5 * 1e308 * 2 ** -0.2, rel=1e-12)
+
+    def test_infinite_scott_bandwidth_names_the_spread(self):
+        spread = r"^bandwidth of samples spread over \[-1\.7e\+308, 1\.7e\+308\] is not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match=spread):
+                scott_bandwidth([1.7e308, -1.7e308])
+            with pytest.raises(InvalidValue, match=spread):
+                kde([1.7e308, -1.7e308], AUTO, (0, 1, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=30))
+    def test_scott_bandwidth_bits_match_unscaled_rule(self, samples):
+        # the power-of-two scaling is exact wherever the unscaled squares stay in range
+        x = np.array(samples)
+        sigma = x.std(ddof=1) if x.size > 1 else 0.0
+        assert scott_bandwidth(samples) == max(float(sigma), density.SIGMA_FLOOR) * x.size ** -0.2
 
     @pytest.mark.parametrize("n_points", [3.7, 2.5, float("nan")])
     def test_grid_point_count_must_be_whole(self, n_points):

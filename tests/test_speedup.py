@@ -35,7 +35,12 @@ from bayeskit.speedup import (
     speedup_posterior,
 )
 
-from oracles import deltas_oracle, ratio_oracle, speedup_posterior_dense_oracle
+from oracles import (
+    deltas_oracle,
+    gaussian_mixture_oracle,
+    ratio_oracle,
+    speedup_posterior_dense_oracle,
+)
 
 positive = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
 
@@ -349,7 +354,7 @@ def _dense_or_error(primary, calib, deltas, grid, bw, bw_delta):
 
 
 class TestPriorSupportOnly:
-    """The likelihood is evaluated only where the prior is positive, with the same bits."""
+    """The likelihood is evaluated only where the posterior can hold mass, with the same bits."""
 
     CALIB = [1.6, 1.8, 2.0, 2.2, 2.5]
     DELTAS = [-0.3, -0.1, 0.0, 0.1, 0.2, 0.3, -0.2]
@@ -396,23 +401,81 @@ class TestPriorSupportOnly:
         post = speedup_posterior([2.0, 2.2], [2.0, 2.4], [-0.1, 0.0, 0.1], grid, 0.1, 0.05)
         assert (np.asarray(post.probs)[live] == 0).any()
 
-    def test_kernel_sees_only_prior_positive_columns(self, monkeypatch):
-        seen = []
-        real = speedup.gaussian_mixture_density
-
-        def spy(points, samples, bandwidth):
-            seen.append(np.array(points))
-            return real(points, samples, bandwidth)
-
-        monkeypatch.setattr(speedup, "gaussian_mixture_density", spy)
+    def test_kernel_skips_only_zero_mass_columns(self, monkeypatch):
+        seen = _spy_kernel(monkeypatch)
+        primary = [2.0, 2.1, 2.05, 1.95, 2.02] * 4
         grid = (-8.0, 8.0, 321)
-        speedup_posterior(self.PRIMARY, self.CALIB, self.DELTAS, grid, 0.1, 0.25)
+        speedup_posterior(primary, self.CALIB, self.DELTAS, grid, 0.1, 0.05)
         prior = to_pmf(exclude_interval(kde(self.CALIB, 0.1, grid), -1, 1))
-        live = prior.probs > 0
-        assert 0 < live.sum() < live.size
-        [points] = seen
-        support = np.asarray(prior.support)[live]
-        assert np.array_equal(points, np.array(self.PRIMARY)[:, None] - support)
+        live = np.flatnonzero(prior.probs > 0)
+        assert 0 < live.size < len(prior)
+        cols = _likelihood_columns(seen, primary, np.asarray(prior.support))
+        assert np.isin(cols, live).all() and (np.diff(cols) > 0).all()
+        skipped = np.setdiff1d(live, cols)
+        assert skipped.size > live.size // 2  # most of the prior's support is pruned here
+        dense = speedup_posterior_dense_oracle(primary, self.CALIB, self.DELTAS, grid, 0.1, 0.05)
+        assert (dense.probs[skipped] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        center=signed_ratios(20.0).filter(lambda c: abs(c) >= 1.5),
+        offsets=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=200),
+        calib_offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        deltas=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=12),
+        n_points=st.integers(64, 600),
+        bw=st.floats(0.05, 1.0),
+        bw_delta=st.floats(0.005, 0.2),
+    )
+    def test_concentrated_posteriors_match_dense_oracle(
+        self, center, offsets, calib_offsets, deltas, n_points, bw, bw_delta
+    ):
+        # many data near one ratio with a narrow scatter: most live columns are pruned
+        primary = [center + o for o in offsets]
+        calib = [center + o for o in calib_offsets]
+        grid = (-30.0, 30.0, n_points)
+        want = _dense_or_error(primary, calib, deltas, grid, bw, bw_delta)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+            return
+        got = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.probs, want.probs)
+
+    def test_underflowing_anchor_prunes_nothing(self, monkeypatch):
+        # no speedup explains both data: every column's likelihood underflows, the anchor's too
+        seen = _spy_kernel(monkeypatch)
+        primary, calib, deltas, grid = [2.0, 40.0], [2.0, 40.0], [-0.1, 0.0, 0.1], (-60.0, 60.0, 481)
+        with pytest.raises(AllZeroMass) as want:
+            speedup_posterior_dense_oracle(primary, calib, deltas, grid, 1.0, 0.05)
+        with pytest.raises(AllZeroMass, match=f"^{want.value}$"):
+            speedup_posterior(primary, calib, deltas, grid, 1.0, 0.05)
+        [anchor] = [p for p in seen if p.ndim == 1]
+        assert (gaussian_mixture_oracle(anchor, deltas, 0.05) == 0).any()
+        prior = to_pmf(exclude_interval(kde(calib, 1.0, grid), -1, 1))
+        cols = _likelihood_columns(seen, primary, np.asarray(prior.support))
+        assert np.array_equal(cols, np.flatnonzero(prior.probs > 0))
+
+
+def _spy_kernel(monkeypatch):
+    """The points of every `gaussian_mixture_density` call `speedup_posterior` makes from now on."""
+    seen = []
+    real = speedup.gaussian_mixture_density
+
+    def spy(points, samples, bandwidth):
+        seen.append(np.array(points))
+        return real(points, samples, bandwidth)
+
+    monkeypatch.setattr(speedup, "gaussian_mixture_density", spy)
+    return seen
+
+
+def _likelihood_columns(seen, primary, grid):
+    """Grid columns of the one two-dimensional (likelihood) call among the kernel calls seen."""
+    [points] = [p for p in seen if p.ndim == 2]
+    full = np.array(primary)[:, None] - grid[None, :]
+    column = {full[:, j].tobytes(): j for j in range(grid.size)}
+    return np.array([column[points[:, k].tobytes()] for k in range(points.shape[1])], dtype=int)
 
 
 class TestClassify:
