@@ -26,6 +26,14 @@ DEFAULT_GRID_POINTS = 2048
 #: kernel-matrix elements per row block: 64 K doubles, 512 KB, about one L2 cache
 _BLOCK_ELEMENTS = 1 << 16
 
+#: fewest kernel-matrix elements worth a span of their own.  At 4-6 ns per
+#: element, 4 M elements are 17-26 ms of one thread's work.  On a 2-core VM a
+#: second span costs up to 32 % more CPU for a 28-47 % lower wall time (warm
+#: pool, 2^18-2^25 elements), and the pool's first use in a process costs
+#: about 10 ms of wall and 12-24 ms of CPU (imports, thread start).  At this
+#: grain a call splits only when halving it saves at least twice that first use.
+_SPAN_ELEMENTS = 1 << 22
+
 
 class DensityGrid:
     """Nonnegative density sampled on a uniform grid, normalized to unit mass."""
@@ -128,21 +136,24 @@ def _mixture_rows(x, s, bandwidth, out) -> None:
 
     Two buffers of one block each are reused throughout; every element sees the
     same operations, in the same order, as the dense one-liner
-    ``exp(-0.5 * z * z).sum(axis=1)`` with ``z = (x - s) / bandwidth``.
+    ``exp(-0.5 * z * z).sum(axis=1)`` with ``z = (x - s) / bandwidth``.  Where
+    ``x - s``, ``z`` or ``z * z`` overflows, the term is ``exp(-inf)``: the
+    0.0 it rounds to anyway, so that overflow is not reported.
     """
     rows = _block_rows(s.size)
     z = np.empty((min(rows, x.size), s.size))
     k = np.empty_like(z)
-    for start in range(0, x.size, rows):
-        n = min(rows, x.size - start)
-        zb, kb = z[:n], k[:n]
-        np.copyto(zb, x[start:start + n, None])  # a contiguous subtract beats the outer one
-        np.subtract(zb, s, out=zb)
-        np.divide(zb, bandwidth, out=zb)
-        np.multiply(-0.5, zb, out=kb)
-        np.multiply(kb, zb, out=kb)
-        np.exp(kb, out=kb)
-        kb.sum(axis=1, out=out[start:start + n])
+    with np.errstate(over="ignore"):  # per thread: each span sets its own
+        for start in range(0, x.size, rows):
+            n = min(rows, x.size - start)
+            zb, kb = z[:n], k[:n]
+            np.copyto(zb, x[start:start + n, None])  # a contiguous subtract beats the outer one
+            np.subtract(zb, s, out=zb)
+            np.divide(zb, bandwidth, out=zb)
+            np.multiply(-0.5, zb, out=kb)
+            np.multiply(kb, zb, out=kb)
+            np.exp(kb, out=kb)
+            kb.sum(axis=1, out=out[start:start + n])
 
 
 def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
@@ -150,18 +161,20 @@ def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
 
     Returns sums of kernels without the 1/(n*bw*sqrt(2pi)) constant, one per
     point and in the shape of `points`; callers that need a proper density
-    normalize afterwards.  The points are split into one contiguous span per
-    usable CPU, evaluated on a thread pool (numpy releases the GIL), and each
-    span is evaluated in cache-sized row blocks; the result is bit-identical
-    to the dense point-by-sample evaluation.
+    normalize afterwards.  The points are split into contiguous spans of at
+    least `_SPAN_ELEMENTS` kernel terms each, at most one per usable CPU and
+    one per point; a call too small for two spans runs on the calling thread
+    and never starts the thread pool, larger ones run their spans on it
+    (numpy releases the GIL).  Each span is evaluated in cache-sized row
+    blocks; the result is bit-identical to the dense point-by-sample
+    evaluation, whatever the number of spans.
     """
     x = np.atleast_1d(np.asarray(points, dtype=float))
     s = np.asarray(samples, dtype=float)
     out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     n = flat_x.size
-    blocks = -(-n // _block_rows(s.size))
-    n_spans = max(1, min(_usable_cpus(), blocks))
+    n_spans = max(1, min(_usable_cpus(), n, n * s.size // _SPAN_ELEMENTS))
     spans = [(flat_x[a:b], s, bandwidth, flat_out[a:b])
              for a, b in ((i * n // n_spans, (i + 1) * n // n_spans) for i in range(n_spans))]
     pending = [_pool().submit(_mixture_rows, *span) for span in spans[1:]]
@@ -185,11 +198,18 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     if not 0 < bw < np.inf:  # also rejects NaN
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     if grid_spec is None:
-        grid_spec = float(x.min() - 3.0 * bw), float(x.max() + 3.0 * bw), DEFAULT_GRID_POINTS
+        lo, hi = float(x.min()), float(x.max())
+        grid_spec = lo - 3.0 * bw, hi + 3.0 * bw, DEFAULT_GRID_POINTS  # Python floats: no warning
+        if not grid_spec[1] - grid_spec[0] < np.inf:
+            raise InvalidGrid(f"kde grid of samples spread over [{lo!r}, {hi!r}] "
+                              f"plus 3 bandwidths of {bw!r} each side is not finite")
     lo, hi, n_points = grid_spec
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidGrid(f"bad grid spec {grid_spec!r}")
-    grid = np.linspace(lo, hi, _check_steps("kde", lo, hi, n_points, InvalidGrid))
+    steps = _check_steps("kde", lo, hi, n_points, InvalidGrid)
+    if not float(hi) - float(lo) < np.inf:  # then the step (span / (steps - 1)) is finite too
+        raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) spans more than the largest float")
+    grid = np.linspace(lo, hi, steps)
     dens = gaussian_mixture_density(grid, x, bw)
     if dens.sum() <= 0.0:
         raise InvalidGrid("grid does not overlap the sample support")

@@ -185,6 +185,48 @@ class TestNonFiniteNumbers:
             load_baselines(path)
 
 
+class TestErrorsNameTheirPlace:
+    """Each rejected row names its file, line and column (or, past the rows, what it checks)."""
+
+    BUGS = "class_id,found_simple,found_strong,public_methods,loc\n"
+    OUTCOMES = "project_id,group,category\np1,agile,2\np2,structured,{}\n"
+
+    @pytest.mark.parametrize("name, text, loader, error, message", [
+        ("bench.csv", "language,task,input_size,variant,metric,value\nC,t1,100,v1,time,1\nC,t2,abc,v1,time,1\n",
+         load_benchmarks, InvalidValue, "line 3: input_size='abc' is not a number"),
+        ("bugs.csv", BUGS + "c1,x,1,,\n", load_bug_counts, InvalidValue,
+         "line 2: found_simple='x' is not an integer"),
+        ("bugs.csv", BUGS + "c1,1,1,3,10\nc2,1,1,0,10\n", load_bug_counts, InvalidValue,
+         "line 3: public_methods='0' must be >= 1"),
+        ("bugs.csv", BUGS + "c1,1,1,,\nc1,2,2,,\n", load_bug_counts, DuplicateKey,
+         "line 3: duplicate class_id 'c1'"),
+        ("base.csv", "category,k,probability\nT,0,0.5\nT,1,0.5\nT,0,0.25\n", load_baselines, DuplicateKey,
+         "line 4: duplicate ('T', k=0)"),
+    ])
+    def test_row_errors_name_file_line_and_column(self, tmp_path, name, text, loader, error, message):
+        path = write(tmp_path, name, text)
+        with pytest.raises(error) as caught:
+            loader(path)
+        assert str(caught.value) == f"{path} {message}"
+
+    def test_baseline_that_does_not_sum_to_one_names_file_and_baseline(self, tmp_path):
+        path = write(tmp_path, "base.csv", "category,k,probability\nA,0,0.5\nA,1,0.5\nB,0,0.5\nB,1,0.4\n")
+        with pytest.raises(InvalidValue) as caught:
+            load_baselines(path)
+        assert str(caught.value) == f"{path}: baseline 'B': probabilities sum to 0.9, not 1"
+
+    def test_unknown_hypothesis_group_named(self, tmp_path):
+        table = load_outcomes(write(tmp_path, "outcomes.csv", self.OUTCOMES.format(0)))
+        with pytest.raises(InvalidValue, match=r"^hypothesis group 'waterfall' not among \('agile', 'structured'\)$"):
+            table.to_counts(3, hypothesis_group="waterfall")
+
+    def test_category_out_of_range_named(self, tmp_path):
+        table = load_outcomes(write(tmp_path, "outcomes.csv", self.OUTCOMES.format(5)))
+        assert table.to_counts(6).counts_b == (0, 0, 0, 0, 0, 1)
+        with pytest.raises(InvalidValue, match=r"^category 5 outside 0\.\.2$"):
+            table.to_counts(3)
+
+
 class TestOutcomeBinning:
     def test_raw_rows_rescaled(self, tmp_path):
         path = write(

@@ -1,10 +1,12 @@
 """Tests for kernel density estimation and interval exclusion."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,29 @@ class TestKde:
             with pytest.raises(InvalidValue, match=spread):
                 kde([1.7e308, -1.7e308], AUTO, (0, 1, 5))
 
+    def test_range_wider_than_largest_float_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match=r"^kde range \(-1e\+308, 1e\+308\) spans more than the largest"):
+                kde([1e308, -1e308], 1.0, (-1e308, 1e308, 5))
+
+    @pytest.mark.parametrize("bandwidth, bw_repr", [(AUTO, "1.2311444133449164e+308"), (1.0, "1.0")])
+    def test_overflowing_default_grid_names_the_spread(self, bandwidth, bw_repr):
+        spread = (r"^kde grid of samples spread over \[-1e\+308, 1e\+308\] plus 3 bandwidths of "
+                  f"{re.escape(bw_repr)} each side is not finite$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match=spread):
+                kde([1e308, -1e308], bandwidth)
+
+    def test_near_limit_grid_is_built_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = kde([1.7e308, -1.7e308], 5e307, (-8e307, 8e307, 5))
+        # x - s overflows for the outer points; their far sample adds exactly 0.0
+        assert np.array_equal(d.grid, np.linspace(-8e307, 8e307, 5))
+        assert d.density[0] == d.density[-1] > d.density[2] > 0.0
+
     @settings(max_examples=200, deadline=None)
     @given(samples=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=30))
     def test_scott_bandwidth_bits_match_unscaled_rule(self, samples):
@@ -235,6 +260,26 @@ def _kernel_inputs(n_points, n_samples):
     return rng.normal(0.0, 4.0, n_points), rng.normal(0.0, 1.5, n_samples)
 
 
+def _use_cpus(monkeypatch, workers):
+    """Run the kernel as if on `workers` CPUs; with more than one, split every call into spans."""
+    monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+    if workers > 1:  # test-sized calls lie below the real grain
+        monkeypatch.setattr(density, "_SPAN_ELEMENTS", 1)
+
+
+class _RecordingPool:
+    """Stands in for the thread pool: runs each span at once and records its point count."""
+
+    def __init__(self):
+        self.spans = []
+
+    def submit(self, fn, x, *args):
+        self.spans.append(x.size)
+        future = Future()
+        future.set_result(fn(x, *args))
+        return future
+
+
 class TestGaussianMixtureKernel:
     """The blocked, threaded kernel against the dense one-liner, bit for bit."""
 
@@ -242,7 +287,7 @@ class TestGaussianMixtureKernel:
     @pytest.mark.parametrize("n_samples", [1, 48, 960, density._BLOCK_ELEMENTS + 1])
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_bit_identical_to_dense(self, monkeypatch, workers, n_samples, blocks, extra):
-        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         n_points = blocks * density._block_rows(n_samples) + extra
         points, samples = _kernel_inputs(n_points, n_samples)
         got = gaussian_mixture_density(points, samples, 0.37)
@@ -252,7 +297,7 @@ class TestGaussianMixtureKernel:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_posterior_grid_points(self, monkeypatch, workers):
         # the (primary, grid) array that speedup_posterior passes in one call
-        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         primary, deltas = _kernel_inputs(7, 960)
         support = np.linspace(-40.0, 40.0, 1025)
         points = primary[:, None] - support[None, :]
@@ -264,12 +309,51 @@ class TestGaussianMixtureKernel:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_points_on_samples_and_signed_zeros(self, monkeypatch, workers):
         # x - s is exactly +-0.0 wherever a point equals a sample
-        monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         _, samples = _kernel_inputs(0, 960)
         samples[:4] = [0.0, -0.0, 5e-324, -5e-324]
         points = np.concatenate([samples[::3], [-0.0, 0.0, -5e-324], -samples[::7]])
         got = gaussian_mixture_density(points, samples, 0.29)
         assert np.array_equal(got, gaussian_mixture_oracle(points, samples, 0.29))
+
+    @pytest.mark.parametrize("n_points, n_samples, spans", [
+        (1, 1, [1]), (99, 10, [99]), (100, 10, [50, 50]), (149, 10, [74, 75]), (150, 10, [50, 50, 50]),
+        (1000, 10, [250, 250, 250, 250]), (2, 1000, [1, 1]), (3, 5000, [1, 1, 1]),
+    ])
+    def test_spans_hold_at_least_the_grain(self, monkeypatch, n_points, n_samples, spans):
+        # one span per _SPAN_ELEMENTS kernel terms, at most one per CPU and one per point
+        monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(density, "_SPAN_ELEMENTS", 500)
+        pool = _RecordingPool()
+        monkeypatch.setattr(density, "_pool", lambda: pool)
+        points, samples = _kernel_inputs(n_points, n_samples)
+        got = gaussian_mixture_density(points, samples, 0.37)
+        assert [n_points - sum(pool.spans)] + pool.spans == spans
+        assert np.array_equal(got, gaussian_mixture_oracle(points, samples, 0.37))
+
+    def test_demo_sized_calls_stay_on_the_calling_thread(self, monkeypatch):
+        # a paper-demo likelihood (about 0.8 M terms), a prior, an anchor, and the largest
+        # call that still runs inline: one row short of two grains
+        monkeypatch.setattr(density, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(density, "_POOL", None)
+        largest = 2 * density._SPAN_ELEMENTS // 1024 - 1
+        for shape, n_samples in [((4, 4096), 48), (4096, 6), (5, 48), (largest, 1024)]:
+            gaussian_mixture_density(np.zeros(shape), np.linspace(-1.0, 1.0, n_samples), 0.3)
+        assert density._POOL is None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("bandwidth", [1.0, 1e-300])
+    def test_overflowing_terms_are_zero_without_warning(self, monkeypatch, workers, bandwidth):
+        # x - s, z or z * z overflows to inf here; exp(-inf) is the 0.0 the term rounds to
+        _use_cpus(monkeypatch, workers)
+        points = np.array([0.0, 1.0, 8e307, -8e307, 1.7e308])
+        samples = np.array([1.7e308, -1.7e308, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_mixture_density(points, samples, bandwidth)
+        with np.errstate(over="ignore"):
+            want = gaussian_mixture_oracle(points, samples, bandwidth)
+        assert np.array_equal(got, want) and np.isfinite(got).all()
 
     def test_memory_stays_within_blocks(self):
         # a dense 4096 x 4800 evaluation would hold several 157 MB temporaries
@@ -289,8 +373,10 @@ class TestGaussianMixtureKernel:
 import os, signal, numpy as np
 from bayeskit import density
 density._usable_cpus = lambda: 2
+density._SPAN_ELEMENTS = 1000  # 4000 x 100 elements would otherwise run inline
 x, s = np.linspace(-3, 3, 4000), np.linspace(-1, 1, 100)
 want = density.gaussian_mixture_density(x, s, 0.3)
+assert density._POOL is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)  # a hung child dies instead of outliving the test

@@ -317,6 +317,21 @@ class TestSpeedupPosterior:
         )
         np.testing.assert_allclose(post.probs, want.probs, atol=1e-12)
 
+    def test_split_kernel_gives_the_same_bytes(self, monkeypatch):
+        # demo-sized calls run inline; forcing every call into spans must not move a bit
+        from bayeskit import density
+
+        rng = np.random.default_rng(14)
+        primary, calib = rng.normal(3.0, 0.8, 5), rng.normal(2.5, 0.6, 6)
+        deltas = rng.normal(0.0, 0.3, 48)
+        monkeypatch.setattr(density, "_usable_cpus", lambda: 1)
+        inline = speedup_posterior(primary, calib, deltas)
+        monkeypatch.setattr(density, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(density, "_SPAN_ELEMENTS", 1)
+        split = speedup_posterior(primary, calib, deltas)
+        assert split.probs.tobytes() == inline.probs.tobytes()
+        assert np.array_equal(split.support, inline.support)
+
     def test_empty_calibration_raises(self):
         with pytest.raises(EmptyCalibration):
             speedup_posterior(self.PRIMARY, [], self.DELTAS)
