@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
 
@@ -53,8 +54,60 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json(obj, newline: str = "\n") -> str:
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)` for what reports hold.
+
+    Reports hold dicts with `str` keys, lists, tuples, `str`, `int`, `bool`,
+    `None` and `float` (NaN and infinities spelt as json spells them); any
+    other type raises `TypeError`.  `json.dumps` with an indent runs its
+    pure-Python encoder; this does the same work with fewer calls.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        # a finite x has x - x == 0; NaN and the infinities take the spelled path
+        return float.__repr__(obj) if obj - obj == 0 else _json_float(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return _JSON_CONSTANTS[obj]
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [_quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # subclasses, such as NumPy's float64, are written as their base type
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json(obj) + "\n")
 
 
 def _write_chart(path: Path, series, title: str, x_label: str, y_label: str) -> None:
@@ -452,13 +505,12 @@ def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
             "probability",
         )
     x_hi = max(a * (np.log(100.0)) ** (1.0 / b) for _, a, b in picks)
-    xs = np.linspace(0.0, float(x_hi), 200)
-    series = [
-        (f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}",
-         xs.tolist(),
-         [defects.weibull_cdf(float(x), defects.WeibullParams(a, b)) for x in xs])
-        for tag, a, b in picks
-    ]
+    xs = np.linspace(0.0, float(x_hi), 200).tolist()
+    series = []
+    for tag, a, b in picks:
+        params = defects.WeibullParams(a, b)
+        cdf = [defects.weibull_cdf(x, params) for x in xs]
+        series.append((f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}", xs, cdf))
     _write_chart(
         out_dir / "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
         "P[X <= x]",
@@ -478,10 +530,15 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tupl
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
 
-    rows = [
-        [e.class_id, _fmt6(e.median), _fmt6(e.ci_low), _fmt6(e.ci_high), _fmt6(e.per_method)]
-        for e in estimates
-    ]
+    # classes with the same found count share their median and interval, so
+    # those three cells are formatted once per count
+    shared = {}
+    rows = []
+    for e in estimates:
+        cells = shared.get(e.found)
+        if cells is None:
+            cells = shared[e.found] = [_fmt6(e.median), _fmt6(e.ci_low), _fmt6(e.ci_high)]
+        rows.append([e.class_id, *cells, _fmt6(e.per_method)])
     _write_csv(out_dir / "total_bugs.csv", ["class_id", "median", "ci_low", "ci_high", "per_method"], rows)
 
     results = {
@@ -540,6 +597,16 @@ COMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, cls) -> None:
+    parser.add_argument("--config", help="JSON file with defaults for these flags (flags win)")
+    for f in fields(cls):
+        # values stay raw here: _config_for parses flags and config values alike
+        kwargs = {"action": "store_const", "const": "true"} if f.metadata["parse"] is _switch else {}
+        if f.metadata["choices"]:
+            kwargs["metavar"] = "{" + ",".join(f.metadata["choices"]) + "}"
+        parser.add_argument(_flag(f), dest=f.name, help=_help(f), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayeskit",
@@ -547,15 +614,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     for command, (cls, _, summary) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", help="JSON file with defaults for these flags (flags win)")
-        for f in fields(cls):
-            # values stay raw here: _config_for parses flags and config values alike
-            kwargs = {"action": "store_const", "const": "true"} if f.metadata["parse"] is _switch else {}
-            if f.metadata["choices"]:
-                kwargs["metavar"] = "{" + ",".join(f.metadata["choices"]) + "}"
-            p.add_argument(_flag(f), dest=f.name, help=_help(f), **kwargs)
+        _add_options(sub.add_parser(command, help=summary), cls)
     return parser
+
+
+def _parse_command(argv: list[str]) -> tuple[str | None, argparse.Namespace]:
+    """The command named by `argv` and its flags; the command is None without one.
+
+    When `argv` starts with a command, only that command's parser is built:
+    it is the parser `build_parser` would hand the rest of `argv` to, so its
+    help and errors are the same.  Anything else (top-level help, no or an
+    unknown command, arguments the command does not take) goes to the full
+    parser, which prints the usage or error text.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"bayeskit {argv[0]}")
+        _add_options(parser, COMMANDS[argv[0]][0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+    return args.command, args
 
 
 def _config_for(command: str, args: argparse.Namespace):
@@ -579,16 +661,14 @@ def _config_for(command: str, args: argparse.Namespace):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
+    command, args = _parse_command(sys.argv[1:] if argv is None else list(argv))
+    if command is None:
         return 2
     try:
-        cfg = _config_for(args.command, args)
+        cfg = _config_for(command, args)
         out_dir = Path(cfg.out)
-        results, warnings = COMMANDS[args.command][1](cfg, out_dir)
-        _write_report(out_dir, args.command, cfg, results, warnings)
+        results, warnings = COMMANDS[command][1](cfg, out_dir)
+        _write_report(out_dir, command, cfg, results, warnings)
     except (AnalysisError, FileNotFoundError, ValueError) as exc:
         print(f"bayeskit: error: {exc}", file=sys.stderr)
         return 1

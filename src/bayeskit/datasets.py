@@ -1,9 +1,10 @@
 """CSV ingestion with schema validation.
 
 `_read_rows` checks the header against its schema and every row, once, for
-the header's field count, and strips the fields.  The loaders validate the
-values, which must be finite numbers, and report offending rows by line
-number (1-based, counting the header).
+the header's field count, and strips the fields; `load_bug_counts`, which
+reads the largest files, does both in its own single pass over the rows.
+The loaders validate the values, which must be finite numbers, and report
+offending rows by line number (1-based, counting the header).
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ SCHEMAS = {
 }
 
 
-def _read_rows(path, expected_headers):
-    """Return the matched header and an iterator of (line_number, fields).
+def _read_table(path, expected_headers):
+    """Return the matched header and the raw rows below it.
 
-    `expected_headers` is a list of acceptable header tuples.  Blank rows
-    are skipped; every other row must have as many fields as the header,
-    and its fields come stripped.
+    `expected_headers` is a list of acceptable header tuples.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -44,13 +43,27 @@ def _read_rows(path, expected_headers):
     if header not in expected_headers:
         expected = " or ".join(",".join(h) for h in expected_headers)
         raise SchemaMismatch(f"{path}: header {','.join(header)!r} does not match {expected!r}")
+    return header, rows[1:]
+
+
+def _width_error(path, line, header, row) -> InvalidValue:
+    return InvalidValue(f"{Path(path)} line {line}: expected {len(header)} fields, got {len(row)}")
+
+
+def _read_rows(path, expected_headers):
+    """Return the matched header and an iterator of (line_number, fields).
+
+    Blank rows are skipped; every other row must have as many fields as the
+    header, and its fields come stripped.
+    """
+    header, body = _read_table(path, expected_headers)
 
     def checked():
-        for line, row in enumerate(rows[1:], start=2):
+        for line, row in enumerate(body, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise InvalidValue(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
+                raise _width_error(path, line, header, row)
             yield line, [field.strip() for field in row]
 
     return header, checked()
@@ -80,10 +93,16 @@ def _parse_int(path, line, field, raw, minimum=None):
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Per-project outcome rows: either raw 1..10 scores or pre-binned categories."""
+    """Per-project outcome rows: either raw 1..10 scores or pre-binned categories.
+
+    `path` and `lines` say where the rows were read (`load_outcomes` sets
+    them); errors about a row then name its file and line.
+    """
 
     rows: tuple[tuple[str, str, int], ...]  # (project_id, group, value)
     binned: bool
+    path: str | None = None
+    lines: tuple[int, ...] = ()
 
     def groups(self) -> tuple[str, ...]:
         seen = []
@@ -105,16 +124,20 @@ class OutcomeTable:
         """
         groups = self.groups()
         if len(groups) != 2:
-            raise InvalidValue(f"expected exactly two groups, found {groups}")
+            where = "" if self.path is None else f"{self.path}: "
+            raise InvalidValue(f"{where}expected exactly two groups, found {groups}")
         first = hypothesis_group if hypothesis_group is not None else groups[0]
         if first not in groups:
             raise InvalidValue(f"hypothesis group {first!r} not among {groups}")
         second = groups[1] if first == groups[0] else groups[0]
         tallies = {first: [0] * k, second: [0] * k}
-        for _, group, value in self.rows:
+        for i, (project, group, value) in enumerate(self.rows):
             category = value if self.binned else rescale_outcome(value, rescale_b, k - 1)
             if not 0 <= category < k:
-                raise InvalidValue(f"category {category} outside 0..{k - 1}")
+                where = "" if self.path is None else f"{self.path} line {self.lines[i]}: "
+                raise InvalidValue(
+                    f"{where}project {project!r}: category {category} outside 0..{k - 1}"
+                )
             tallies[group][category] += 1
         return OutcomeCounts(tuple(tallies[first]), tuple(tallies[second]), first, second)
 
@@ -125,6 +148,7 @@ def load_outcomes(path) -> OutcomeTable:
     binned = header == SCHEMAS["outcomes_binned"]
     seen = set()
     out = []
+    lines = []
     for line, row in rows:
         project, group, raw = row
         if project in seen:
@@ -134,7 +158,8 @@ def load_outcomes(path) -> OutcomeTable:
         if not binned and not 1 <= value <= 10:
             raise InvalidValue(f"{path} line {line}: raw_outcome {value} outside 1..10")
         out.append((project, group, value))
-    return OutcomeTable(tuple(out), binned)
+        lines.append(line)
+    return OutcomeTable(tuple(out), binned, str(path), tuple(lines))
 
 
 def load_baselines(path) -> dict[str, OutcomeDistribution]:
@@ -203,19 +228,45 @@ def load_primary(path) -> dict[str, BenchmarkDataset]:
     return _load_measurements(path, "primary")
 
 
+def _bug_fields(path, line, row) -> tuple:
+    """A bugs.csv row's four counts, parsed field by field; the first bad field raises."""
+    _, simple_raw, strong_raw, methods_raw, loc_raw = (field.strip() for field in row)
+    simple = _parse_int(path, line, "found_simple", simple_raw, minimum=0)
+    strong = _parse_int(path, line, "found_strong", strong_raw, minimum=0)
+    methods = _parse_int(path, line, "public_methods", methods_raw, minimum=1) if methods_raw else None
+    loc = _parse_int(path, line, "loc", loc_raw, minimum=1) if loc_raw else None
+    return simple, strong, methods, loc
+
+
 def load_bug_counts(path) -> tuple[BugCounts, ...]:
-    """Read `bugs.csv`; public_methods and loc may be blank."""
-    _, rows = _read_rows(path, [SCHEMAS["bugs"]])
+    """Read `bugs.csv`; public_methods and loc may be blank.
+
+    Each row is converted and range-checked in one pass (`int` ignores the
+    whitespace that stripping would remove); a row that fails goes through
+    `_bug_fields`, whose error names the offending field.
+    """
+    header, body = _read_table(path, [SCHEMAS["bugs"]])
     seen = set()
     out = []
-    for line, row in rows:
-        class_id, simple_raw, strong_raw, methods_raw, loc_raw = row
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            if not row:
+                continue
+            raise _width_error(path, line, header, row)
+        class_id = row[0].strip()
         if class_id in seen:
             raise DuplicateKey(f"{path} line {line}: duplicate class_id {class_id!r}")
         seen.add(class_id)
-        simple = _parse_int(path, line, "found_simple", simple_raw, minimum=0)
-        strong = _parse_int(path, line, "found_strong", strong_raw, minimum=0)
-        methods = _parse_int(path, line, "public_methods", methods_raw, minimum=1) if methods_raw else None
-        loc = _parse_int(path, line, "loc", loc_raw, minimum=1) if loc_raw else None
+        _, simple, strong, methods, loc = row
+        try:
+            simple, strong = int(simple), int(strong)
+            methods = int(methods) if methods else None
+            loc = int(loc) if loc else None
+            good = (simple >= 0 and strong >= 0 and (methods is None or methods >= 1)
+                    and (loc is None or loc >= 1))
+        except ValueError:
+            good = False
+        if not good:
+            simple, strong, methods, loc = _bug_fields(path, line, row)
         out.append(BugCounts(class_id, simple, strong, methods, loc))
     return tuple(out)

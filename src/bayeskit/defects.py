@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,23 +48,63 @@ class WeibullParams:
             raise NonPositiveParams(f"alpha and beta must be positive and finite, got {self}")
 
 
-@dataclass(frozen=True)
-class BugCounts:
-    """Bugs found in one class by the two testing configurations."""
+class _Record:
+    """Equality of a frozen dataclass for a `NamedTuple` subclass.
 
+    A record equals only records of its own type, never a plain tuple or
+    another record type with the same values; it hashes as its tuple.  A
+    subclass lists `_Record` first and sets ``__slots__ = ()``, so it keeps
+    no instance dict and its fields stay read-only.  `_make`, and with it
+    `_replace`, builds through the subclass's own `__new__`.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _BugCountsFields(NamedTuple):
     class_id: str
     found_simple: int
     found_strong: int
-    public_methods: int | None = None
-    loc: int | None = None
+    public_methods: int | None
+    loc: int | None
 
-    def __post_init__(self):
-        if self.found_simple < 0 or self.found_strong < 0:
+
+class BugCounts(_Record, _BugCountsFields):
+    """Bugs found in one class by the two testing configurations."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        class_id: str,
+        found_simple: int,
+        found_strong: int,
+        public_methods: int | None = None,
+        loc: int | None = None,
+    ):
+        self = tuple.__new__(cls, (class_id, found_simple, found_strong, public_methods, loc))
+        if found_simple < 0 or found_strong < 0:
             raise ValueError(f"bug counts must be nonnegative: {self}")
-        if self.public_methods is not None and self.public_methods <= 0:
+        if public_methods is not None and public_methods <= 0:
             raise ValueError(f"public method count must be positive: {self}")
-        if self.loc is not None and self.loc <= 0:
+        if loc is not None and loc <= 0:
             raise ValueError(f"loc must be positive: {self}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -203,30 +244,34 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _log_binomial_vec(h: np.ndarray, e: float, d: int) -> np.ndarray:
-    """log C(h, d) e^d (1-e)^(h-d) over an integer vector h; -inf where h < d."""
-    out = np.full(h.shape, -np.inf)
+def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
+    """log C(h, d) e^d (1-e)^(h-d), one row per rate e over an integer vector h; -inf where h < d.
+
+    Each row holds the bits of the same float arithmetic done for its rate alone.
+    """
+    rates = [float(e) for e in e_pts]
     ok = h >= d
     hh = h[ok]
     log_fact = _log_factorials(int(h.max()))
     log_coeff = log_fact[hh] - math.lgamma(d + 1) - log_fact[hh - d]
-    if e == 1.0:
-        tail = np.where(hh == d, 0.0, -np.inf)
-    else:
-        tail = (hh - d) * math.log1p(-e)
-    out[ok] = log_coeff + d * math.log(e) + tail
+    head = np.array([d * math.log(e) for e in rates])
+    log_miss = np.array([math.log1p(-e) if e < 1.0 else 0.0 for e in rates])
+    tail = (hh - d) * log_miss[:, None]
+    tail[np.array(rates) == 1.0] = np.where(hh == d, 0.0, -np.inf)  # a sure detection finds all
+    out = np.full((len(rates), h.size), -np.inf)
+    out[:, ok] = log_coeff + head[:, None] + tail
     return out
 
 
-def _log_scaled_prior(params: WeibullParams, strong_e: float, n_max: int) -> np.ndarray:
-    """log pdf(h * strong_e) for h = 0..n_max: the prior over true totals."""
+def _log_scaled_priors(params: WeibullParams, s_pts: np.ndarray, n_max: int) -> np.ndarray:
+    """log pdf(h * s) for h = 0..n_max, one row per rate s: the priors over true totals."""
     h = np.arange(1, n_max + 1, dtype=float)
     a, b = params.alpha, params.beta
-    logz = np.log(h * strong_e) - math.log(a)
+    logz = np.log(h * s_pts[:, None]) - math.log(a)
     body = math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
     at_zero = weibull_pdf(0.0, params)
     head = math.log(at_zero) if at_zero > 0 else -np.inf
-    return np.concatenate(([head], body))
+    return np.concatenate((np.full((len(s_pts), 1), head), body), axis=1)
 
 
 def total_bugs_posterior(
@@ -257,8 +302,8 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     e_pts = grid.e_points()
     s_pts = grid.strong_points()
     h = np.arange(n_max + 1)
-    log_binom = np.stack([_log_binomial_vec(h, float(e), d) for e in e_pts])
-    log_prior = np.stack([_log_scaled_prior(params, float(s), n_max) for s in s_pts])
+    log_binom = _log_binomials(h, e_pts, d)
+    log_prior = _log_scaled_priors(params, s_pts, n_max)
     if not np.isfinite(log_prior).any(axis=1).all():
         raise ValueError(f"n_max={n_max} leaves the Weibull prior no mass on totals 0..{n_max}")
     logw = log_binom[:, None, :] + log_prior[None, :, :]
@@ -322,16 +367,19 @@ def default_n_max(d: int) -> int:
     return max(100, 10 * d)
 
 
-@dataclass(frozen=True)
-class ClassEstimate:
-    """Summary row for one class's total-bug posterior."""
-
+class _ClassEstimateFields(NamedTuple):
     class_id: str
     found: int
     median: float
     ci_low: float
     ci_high: float
     per_method: float | None
+
+
+class ClassEstimate(_Record, _ClassEstimateFields):
+    """Summary row for one class's total-bug posterior."""
+
+    __slots__ = ()
 
 
 def estimate_class_totals(

@@ -210,6 +210,8 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     if not float(hi) - float(lo) < np.inf:  # then the step (span / (steps - 1)) is finite too
         raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) spans more than the largest float")
     grid = np.linspace(lo, hi, steps)
+    if not (np.diff(grid) > 0).all():  # neighbouring points rounded to the same float
+        raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) is too narrow for {steps} distinct points")
     dens = gaussian_mixture_density(grid, x, bw)
     if dens.sum() <= 0.0:
         raise InvalidGrid("grid does not overlap the sample support")

@@ -10,9 +10,13 @@ import xml.dom.minidom
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayeskit.cli import build_parser, main
+from bayeskit import cli
+from bayeskit.cli import _write_json, build_parser, main
 
 from oracles import log10_bayes_factor_oracle
 
@@ -85,6 +89,147 @@ class TestHelp:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+
+class TestJsonWriter:
+    """`_write_json` writes the bytes of `json.dumps(obj, indent=2, sort_keys=True)` plus a newline."""
+
+    SCALARS = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(2**300), max_value=2**300),
+        st.floats(),  # with NaN, both infinities and -0.0
+        st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7e308]),
+        st.floats().map(np.float64),
+        st.text(),  # non-ASCII and control characters included
+        st.text(st.characters(max_codepoint=0x20)),
+    )
+    TREES = st.recursive(
+        SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(), children, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+    @staticmethod
+    def expected(obj) -> bytes:
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=TREES)
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "writer" / "report.json"
+        _write_json(path, obj)
+        assert path.read_bytes() == self.expected(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], {"": {}}, {"b": 1, "a": [True, 1, False, 0]}, {"\u00e9\x00\n": ["\u00fc", None]},
+        [-0.0, 0.0, float("nan"), float("inf"), float("-inf")], 2**200, -(2**200), "\ud800",
+        {"rows": [{"ci": (1.5, 2.5), "class_id": "c1", "found": 3, "per_method": None}]},
+    ])
+    def test_edge_cases(self, tmp_path, obj):
+        _write_json(tmp_path / "r.json", obj)
+        assert (tmp_path / "r.json").read_bytes() == self.expected(obj)
+
+    def test_bundled_report_reproduced(self, tmp_path):
+        assert run(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", tmp_path]) == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert self.expected(json.loads(report)) == report
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(1), np.bool_(True), np.array([1.0]), b"x", object(), 1 + 2j, {1, 2},
+        [1, {"a": np.float32(0.5)}], {"a": {"b": frozenset()}},
+    ])
+    def test_other_types_raise_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _write_json(tmp_path / "r.json", obj)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+    def test_non_str_keys_raise_type_error(self, tmp_path, key):
+        with pytest.raises(TypeError, match="^keys must be str, not "):
+            _write_json(tmp_path / "r.json", {"a": [{key: 1}]})
+
+
+def full_parser_command(argv):
+    """The command and flags as the full parser of every command reads them."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+    return args.command, args
+
+
+class TestCommandParser:
+    """`main` builds only the named command's parser; what it prints is what the full parser prints."""
+
+    COMMAND_CASES = [
+        (command, case)
+        for command, flag in [
+            ("compare-outcomes", "--scheme"),
+            ("compare-performance", "--metric"),
+            ("fit-defects", "--prior"),
+            ("estimate-total-bugs", "--prior"),
+            ("derived-plots", "--prior"),
+        ]
+        for case in (
+            ["--help"],
+            ["-h", "--data", "x.csv"],
+            ["--data", "x.csv", "--no-such-flag", "1"],
+            ["--data"],
+            ["--out"],
+            [flag, "bogus", "--data", "x.csv"],
+            [flag],
+            ["--da", "x.csv", "leftover"],
+            ["--", "x.csv"],
+            [],
+        )
+    ]
+    TOP_CASES = [[], ["-h"], ["--help"], ["-h", "fit-defects"], ["bogus"], ["bogus", "--help"],
+                 ["--data", "x.csv"], ["fit-defect"]]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", [[c, *case] for c, case in COMMAND_CASES] + TOP_CASES)
+    def test_same_output_as_the_full_parser(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # a run that gets as far as writing stays in here
+        got = self.outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_parse_command", full_parser_command)
+        assert got == self.outcome(argv, capsys)
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["fit-defects", "--help"], 0, "usage: bayeskit fit-defects [-h]"),
+        (["fit-defects", "--data"], 2, "bayeskit fit-defects: error: argument --data: expected one argument"),
+        (["fit-defects", "--data", "x", "extra"], 2, "bayeskit: error: unrecognized arguments: extra"),
+        (["bogus"], 2, "bayeskit: error: argument command: invalid choice: 'bogus'"),
+        (["-h", "fit-defects"], 0, "usage: bayeskit [-h]"),
+    ])
+    def test_outcomes_pinned(self, argv, code, text, capsys):
+        got, out, err = self.outcome(argv, capsys)
+        assert got == code
+        assert text in out + err
+
+    def test_known_command_builds_one_parser(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(["derived-plots", "--data", DATA / "demo_bugs.csv", "--bins", "20",
+                    "--out", tmp_path]) == 0
+        assert (tmp_path / "report.json").is_file()
 
 
 class TestCompareOutcomes:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from bayeskit.datasets import (
+    OutcomeTable,
     load_baselines,
     load_benchmarks,
     load_bug_counts,
@@ -221,10 +222,31 @@ class TestErrorsNameTheirPlace:
             table.to_counts(3, hypothesis_group="waterfall")
 
     def test_category_out_of_range_named(self, tmp_path):
-        table = load_outcomes(write(tmp_path, "outcomes.csv", self.OUTCOMES.format(5)))
+        path = write(tmp_path, "outcomes.csv", self.OUTCOMES.format(5))
+        table = load_outcomes(path)
         assert table.to_counts(6).counts_b == (0, 0, 0, 0, 0, 1)
-        with pytest.raises(InvalidValue, match=r"^category 5 outside 0\.\.2$"):
+        with pytest.raises(InvalidValue) as caught:
             table.to_counts(3)
+        assert str(caught.value) == f"{path} line 3: project 'p2': category 5 outside 0..2"
+
+    def test_category_line_skips_blank_rows(self, tmp_path):
+        path = write(tmp_path, "outcomes.csv", "project_id,group,category\np1,agile,2\n\np2,structured,7\n")
+        with pytest.raises(InvalidValue) as caught:
+            load_outcomes(path).to_counts(3)
+        assert str(caught.value) == f"{path} line 4: project 'p2': category 7 outside 0..2"
+
+    def test_table_built_in_code_names_the_project(self):
+        table = OutcomeTable((("p1", "agile", 2), ("p2", "structured", 5)), binned=True)
+        assert table.to_counts(6).counts_a == (0, 0, 1, 0, 0, 0)
+        with pytest.raises(InvalidValue) as caught:
+            table.to_counts(3)
+        assert str(caught.value) == "project 'p2': category 5 outside 0..2"
+
+    def test_group_count_names_the_file(self, tmp_path):
+        path = write(tmp_path, "outcomes.csv", "project_id,group,category\np1,agile,2\n")
+        with pytest.raises(InvalidValue) as caught:
+            load_outcomes(path).to_counts(3)
+        assert str(caught.value) == f"{path}: expected exactly two groups, found ('agile',)"
 
 
 class TestOutcomeBinning:

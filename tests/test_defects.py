@@ -1,6 +1,10 @@
 """Tests for Weibull fitting and hierarchical total-bug estimation."""
 
+import copy
+import inspect
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,8 +13,11 @@ from hypothesis import strategies as st
 
 from bayeskit.defects import (
     BugCounts,
+    ClassEstimate,
     EffectivenessGrid,
     WeibullParams,
+    _log_binomials,
+    _log_scaled_priors,
     binomial_pmf,
     class_total_bugs,
     default_n_max,
@@ -254,6 +261,41 @@ class TestBinomial:
         assert binomial_pmf(h, e, d) == pytest.approx(binom(h, e).pmf(d), rel=1e-12)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rates=st.lists(st.one_of(st.floats(1e-6, 1.0), st.just(1.0)), min_size=1, max_size=6),
+        d=st.integers(0, 40),
+        extra=st.integers(0, 60),
+    )
+    def test_log_binomial_rows_match_the_scalar_formula(self, rates, d, extra):
+        # every row of the broadcast is, bit for bit, the per-rate float arithmetic
+        h = np.arange(d + extra + 1)
+        rows = _log_binomials(h, np.array(rates), d)
+        log_fact = [math.lgamma(i + 1) for i in range(h.size)]
+        for e, row in zip(rates, rows):
+            for i, got in enumerate(row.tolist()):
+                if i < d:
+                    want = -math.inf
+                else:
+                    coeff = log_fact[i] - math.lgamma(d + 1) - log_fact[i - d]
+                    miss = (0.0 if i == d else -math.inf) if e == 1.0 else (i - d) * math.log1p(-e)
+                    want = coeff + d * math.log(e) + miss
+                assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+        alpha=st.floats(0.1, 40.0),
+        beta=st.floats(0.1, 3.0),
+        n_max=st.integers(0, 300),
+    )
+    def test_log_prior_rows_do_not_depend_on_their_neighbours(self, rates, alpha, beta, n_max):
+        params = WeibullParams(alpha, beta)
+        rows = _log_scaled_priors(params, np.array(rates), n_max)
+        for i, e in enumerate(rates):
+            alone = _log_scaled_priors(params, np.array([e]), n_max)[0]
+            assert rows[i].tobytes() == alone.tobytes()
+
 class TestTotalBugsPosterior:
     def test_perfect_detection_point_mass(self):
         post = total_bugs_posterior(P_TYPICAL, 7, 1.0, 0.8, 60)
@@ -423,3 +465,127 @@ class TestBugCounts:
     def test_optional_fields_may_be_missing(self):
         rec = BugCounts("c1", 0, 0)
         assert rec.public_methods is None and rec.loc is None
+
+
+# -- the records as they were: frozen dataclasses, the reference for parity -------
+
+
+@dataclass(frozen=True)
+class DataclassBugCounts:
+    class_id: str
+    found_simple: int
+    found_strong: int
+    public_methods: int | None = None
+    loc: int | None = None
+
+    def __post_init__(self):
+        if self.found_simple < 0 or self.found_strong < 0:
+            raise ValueError(f"bug counts must be nonnegative: {self}")
+        if self.public_methods is not None and self.public_methods <= 0:
+            raise ValueError(f"public method count must be positive: {self}")
+        if self.loc is not None and self.loc <= 0:
+            raise ValueError(f"loc must be positive: {self}")
+
+
+@dataclass(frozen=True)
+class DataclassClassEstimate:
+    class_id: str
+    found: int
+    median: float
+    ci_low: float
+    ci_high: float
+    per_method: float | None
+
+
+DataclassBugCounts.__qualname__ = "BugCounts"  # the dataclass repr prints the qualified name
+DataclassClassEstimate.__qualname__ = "ClassEstimate"
+
+optional_count = st.one_of(st.none(), st.integers(-3, 3))
+bug_args = st.tuples(st.text(max_size=4), st.integers(-3, 3), st.integers(-3, 3),
+                     optional_count, optional_count)
+number = st.floats(allow_nan=False)
+estimate_args = st.tuples(st.text(max_size=4), st.integers(0, 5), number, number, number,
+                          st.one_of(st.none(), number))
+
+
+def built(cls, args):
+    try:
+        return cls(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestRecordParity:
+    """The tuple records behave as the frozen dataclasses they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=bug_args)
+    def test_bug_counts_repr_and_messages(self, args):
+        new, new_error = built(BugCounts, args)
+        old, old_error = built(DataclassBugCounts, args)
+        assert new_error == old_error
+        if old is not None:
+            assert repr(new) == repr(old)
+            assert tuple(new) == args
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=estimate_args)
+    def test_class_estimate_repr(self, args):
+        assert repr(ClassEstimate(*args)) == repr(DataclassClassEstimate(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=bug_args, b=bug_args)
+    def test_equality_and_hash(self, a, b):
+        (new_a, _), (new_b, _) = built(BugCounts, a), built(BugCounts, b)
+        (old_a, _), (old_b, _) = built(DataclassBugCounts, a), built(DataclassBugCounts, b)
+        if old_a is None or old_b is None:
+            return
+        assert (new_a == new_b) == (old_a == old_b)
+        assert (new_a != new_b) == (old_a != old_b)
+        assert hash(new_a) == hash(old_a)
+
+    @pytest.mark.parametrize("value", [
+        ("c1", 1, 2, None, None), ["c1", 1, 2, None, None], ClassEstimate("c1", 1, 2, None, None, None),
+        DataclassBugCounts("c1", 1, 2), None, "c1",
+    ])
+    def test_never_equal_to_other_types(self, value):
+        rec = BugCounts("c1", 1, 2)
+        assert rec != value and value != rec
+        assert not (rec == value) and not (value == rec)
+        assert len({rec, DataclassBugCounts("c1", 1, 2)}) == 2
+
+    @pytest.mark.parametrize("rec", [BugCounts("c1", 1, 2, 3, 4), BugCounts("c2", 0, 0),
+                                     ClassEstimate("c1", 2, 4.0, 1.0, 9.0, None),
+                                     ClassEstimate("c1", 0, -0.0, 0.0, 1.5, 0.25)])
+    def test_assignment_raises_attribute_error(self, rec):
+        with pytest.raises(AttributeError):
+            rec.class_id = "other"
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert not hasattr(rec, "__dict__")
+
+    @pytest.mark.parametrize("rec", [BugCounts("c1", 1, 2, 3, 4), BugCounts("c2", 0, 0),
+                                     ClassEstimate("c1", 2, 4.0, 1.0, 9.0, None)])
+    def test_pickle_and_copy_round_trip(self, rec):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rec, protocol))
+            assert type(back) is type(rec) and back == rec
+        for twin in (copy.copy(rec), copy.deepcopy(rec)):
+            assert type(twin) is type(rec) and twin == rec and repr(twin) == repr(rec)
+
+    def test_signature_and_defaults(self):
+        new = inspect.signature(BugCounts).parameters
+        old = inspect.signature(DataclassBugCounts).parameters
+        assert [(p.name, p.default, p.kind) for p in new.values()] == [
+            (p.name, p.default, p.kind) for p in old.values()
+        ]
+        assert BugCounts(class_id="c", found_simple=1, found_strong=2) == BugCounts("c", 1, 2, None, None)
+        assert list(inspect.signature(ClassEstimate).parameters) == list(
+            inspect.signature(DataclassClassEstimate).parameters
+        )
+
+    def test_replace_validates(self):
+        rec = BugCounts("c1", 1, 2)
+        assert rec._replace(loc=7) == BugCounts("c1", 1, 2, None, 7)
+        with pytest.raises(ValueError, match="^loc must be positive: BugCounts"):
+            rec._replace(loc=0)

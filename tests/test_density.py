@@ -132,6 +132,22 @@ class TestKde:
             with pytest.raises(InvalidGrid, match=r"^kde range \(-1e\+308, 1e\+308\) spans more than the largest"):
                 kde([1e308, -1e308], 1.0, (-1e308, 1e308, 5))
 
+    @pytest.mark.parametrize("spec, text", [
+        ((0, 5e-324, 3), r"\(0, 5e-324\) is too narrow for 3 distinct points"),
+        ((1.0, 1.0000000000000002, 3), r"\(1\.0, 1\.0000000000000002\) is too narrow for 3 distinct points"),
+        ((-1e-323, 0.0, 4.0), r"\(-1e-323, 0\.0\) is too narrow for 4 distinct points"),
+    ])
+    def test_range_too_narrow_for_its_points_named(self, spec, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match=f"^kde range {text}$"):
+                kde([0.0], 1.0, spec)
+
+    def test_range_one_float_apart_per_point_is_built(self):
+        hi = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        d = kde([1.0], 1.0, (1.0, hi, 3))
+        assert d.grid.tolist() == [1.0, np.nextafter(1.0, 2.0), hi]
+
     @pytest.mark.parametrize("bandwidth, bw_repr", [(AUTO, "1.2311444133449164e+308"), (1.0, "1.0")])
     def test_overflowing_default_grid_names_the_spread(self, bandwidth, bw_repr):
         spread = (r"^kde grid of samples spread over \[-1e\+308, 1e\+308\] plus 3 bandwidths of "
