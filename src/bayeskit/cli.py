@@ -9,7 +9,6 @@ deterministic: identical inputs and flags give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -39,8 +38,26 @@ def _fmt6(x) -> str:
     return format(float(x), ".6g")
 
 
+def _new_sha256():
+    """An empty SHA-256 hash from CPython's built-in module, which maps no OpenSSL library.
+
+    The module is `_sha2` on Python 3.12+ and `_sha256` before; a build
+    without either gets `hashlib`'s.  All three give the same digests.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = _new_sha256()
+    digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -405,7 +422,7 @@ def run_compare_performance(cfg: ComparePerformanceConfig, out_dir: Path) -> tup
         if cfg.plots:
             # held as SVG text (about 60 KB a pair), a third of the posterior's size
             charts[plot_names[(l1, l2)]] = line_chart_svg(
-                [(f"{l1} vs {l2}", post.support, post.probs)],
+                [(f"{l1} vs {l2}", post.points, post.probs)],
                 f"Speedup posterior: {l1} vs {l2}",
                 "speedup ratio",
                 "probability",
@@ -499,7 +516,7 @@ def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
     for axis, name, marg in (("alpha", "scale", marg_a), ("beta", "shape", marg_b)):
         _write_chart(
             out_dir / f"marginal_{axis}.svg",
-            [(f"{name} posterior", marg.support, marg.probs)],
+            [(f"{name} posterior", marg.points, marg.probs)],
             f"Marginal posterior of the Weibull {name}",
             axis,
             "probability",
@@ -565,7 +582,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig, out_dir: Path) -> tuple[dict, lis
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
     _write_chart(
         out_dir / f"at_most_{cfg.at_most}.svg",
-        [(f"at most {cfg.at_most} bugs", pmf.support, pmf.probs)],
+        [(f"at most {cfg.at_most} bugs", pmf.points, pmf.probs)],
         f"Posterior of P[class has at most {cfg.at_most} bugs]",
         "probability of at most N bugs",
         "posterior mass",

@@ -179,7 +179,8 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     With distinct shifted counts x of multiplicities m (N in total), the
     log-likelihood is N(log b - log a) + (b - 1)(sum m log x - N log a)
     - sum m (x/a)^b.  The last sum goes through a log-sum-exp over x, so it
-    overflows only where a per-count sum would.
+    overflows only where a per-count sum would.  The grid terms are built in
+    place, in that order, so at most two grid arrays are alive at once.
     """
     data = np.asarray([float(c) for c in counts])
     if not data.size:
@@ -203,12 +204,19 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     n, log_x = data.size, np.log(x)
     # log m + b log x, one row per beta
     log_power_sum = _logsumexp(np.log(m) + np.outer(betas, log_x), axis=1)
+    log_b = np.log(betas)
+    logw = np.subtract(log_b, log_a)
+    logw *= n
+    term = np.multiply(betas - 1.0, m @ log_x - n * log_a)
+    logw += term
+    np.multiply(betas, log_a, out=term)
+    np.subtract(log_power_sum, term, out=term)
     # a power sum that overflows to inf is a likelihood of exactly 0 there
     with np.errstate(over="ignore"):
-        power_sum = np.exp(log_power_sum - betas * log_a)
-    logw = n * (np.log(betas) - log_a) + (betas - 1.0) * (m @ log_x - n * log_a) - power_sum
+        logw -= np.exp(term, out=term)
     if prior_kind == "jeffreys":
-        logw -= log_a + np.log(betas)
+        logw -= np.add(log_a, log_b, out=term)
+    del term  # so only logw and its normalised copy are alive below
     return JointPmf2D.from_log_weights(alphas, betas, logw)
 
 
@@ -307,7 +315,7 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     if not np.isfinite(log_prior).any(axis=1).all():
         raise ValueError(f"n_max={n_max} leaves the Weibull prior no mass on totals 0..{n_max}")
     logw = log_binom[:, None, :] + log_prior[None, :, :]
-    cells = _shift_exp(logw, axis=2)
+    cells = _shift_exp(logw, axis=2, fresh=True)
     cells /= cells.sum(axis=2, keepdims=True)
     total = (np.exp(log_binom)[:, None, :] * cells).sum(axis=2)
     with np.errstate(divide="ignore"):
@@ -342,6 +350,7 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     most n bugs (under the same shift-by-one convention as the fit), weighted
     by the cell mass.  With `bins` the values are aggregated onto an even
     [0, 1] grid of bin centers; otherwise exact value spikes are returned.
+    Grid arrays are built in place, one for the values and one for the bins.
     """
     if n < 0:
         raise ValueError(f"at-most count must be nonnegative, got {n}")
@@ -349,14 +358,19 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
         raise ValueError(f"bin count must be at least 1, got {bins}")
     a = joint.x_grid[:, None]
     b = joint.y_grid[None, :]
-    values = 1.0 - np.exp(-(((n + 1.0) / a) ** b))
+    values = np.power((n + 1.0) / a, b)
+    np.negative(values, out=values)
+    np.exp(values, out=values)
+    np.subtract(1.0, values, out=values)  # 1 - exp(-(((n + 1) / a) ** b))
     flat_vals = values.ravel()
     flat_mass = joint.probs.ravel()
     if bins is None:
         return Pmf(flat_vals, flat_mass)
     edges = np.linspace(0.0, 1.0, bins + 1)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    idx = np.clip(np.searchsorted(edges, flat_vals, side="right") - 1, 0, bins - 1)
+    idx = np.searchsorted(edges, flat_vals, side="right")
+    idx -= 1
+    np.clip(idx, 0, bins - 1, out=idx)
     mass = np.zeros(bins)
     np.add.at(mass, idx, flat_mass)
     return Pmf(centers, mass)

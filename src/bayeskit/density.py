@@ -54,7 +54,10 @@ class DensityGrid:
         total = d.sum() * steps[0]
         if total <= 0.0:
             raise InvalidGrid("density holds no mass on this grid")
-        d = d / total
+        with np.errstate(over="ignore"):
+            d = d / total
+        if not np.isfinite(d).all():
+            raise InvalidGrid(f"grid spacing {float(steps[0])!r} is too small to normalise this density")
         for arr in (g, d):
             arr.flags.writeable = False
         self._grid = g
@@ -134,26 +137,27 @@ def _block_rows(n_samples: int) -> int:
 def _mixture_rows(x, s, bandwidth, out) -> None:
     """Kernel sums for the points `x` into `out`, one block of rows at a time.
 
-    Two buffers of one block each are reused throughout; every element sees the
-    same operations, in the same order, as the dense one-liner
-    ``exp(-0.5 * z * z).sum(axis=1)`` with ``z = (x - s) / bandwidth``.  Where
-    ``x - s``, ``z`` or ``z * z`` overflows, the term is ``exp(-inf)``: the
-    0.0 it rounds to anyway, so that overflow is not reported.
+    One buffer of one block is reused throughout.  Each term is
+    ``exp(-0.5 * (z * z))`` with ``z = (x - s) / bandwidth``, the same float
+    as the dense one-liner's ``exp(-0.5 * z * z)``: halving is exact wherever
+    ``exp`` can tell the difference, and the two ``exp`` inputs part only where
+    ``z * z`` overflows (both terms 0.0) or its half is subnormal (both 1.0).
+    Where ``x - s``, ``z`` or ``z * z`` overflows, the term is ``exp(-inf)``:
+    the 0.0 it rounds to anyway, so that overflow is not reported.
     """
     rows = _block_rows(s.size)
-    z = np.empty((min(rows, x.size), s.size))
-    k = np.empty_like(z)
+    block = np.empty((min(rows, x.size), s.size))
     with np.errstate(over="ignore"):  # per thread: each span sets its own
         for start in range(0, x.size, rows):
             n = min(rows, x.size - start)
-            zb, kb = z[:n], k[:n]
+            zb = block[:n]
             np.copyto(zb, x[start:start + n, None])  # a contiguous subtract beats the outer one
             np.subtract(zb, s, out=zb)
             np.divide(zb, bandwidth, out=zb)
-            np.multiply(-0.5, zb, out=kb)
-            np.multiply(kb, zb, out=kb)
-            np.exp(kb, out=kb)
-            kb.sum(axis=1, out=out[start:start + n])
+            np.multiply(zb, zb, out=zb)
+            np.multiply(zb, -0.5, out=zb)
+            np.exp(zb, out=zb)
+            zb.sum(axis=1, out=out[start:start + n])
 
 
 def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
@@ -209,9 +213,12 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     steps = _check_steps("kde", lo, hi, n_points, InvalidGrid)
     if not float(hi) - float(lo) < np.inf:  # then the step (span / (steps - 1)) is finite too
         raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) spans more than the largest float")
-    grid = np.linspace(lo, hi, steps)
+    grid = np.linspace(lo, hi, steps).copy()  # owning its data, so a pmf over it need not copy it
     if not (np.diff(grid) > 0).all():  # neighbouring points rounded to the same float
         raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) is too narrow for {steps} distinct points")
+    if grid[1] - grid[0] < np.finfo(float).tiny:  # a density over it would overflow to inf
+        raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) is too narrow for {steps} points: "
+                          f"their spacing {float(grid[1] - grid[0])!r} is subnormal")
     dens = gaussian_mixture_density(grid, x, bw)
     if dens.sum() <= 0.0:
         raise InvalidGrid("grid does not overlap the sample support")

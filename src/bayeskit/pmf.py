@@ -9,7 +9,8 @@ construction and safe to share across threads.
 increasing finite real points with finite, nonnegative weights (every grid
 posterior) are normalized as given, with no dict and no sort; any other input
 is accumulated in a dict and sorted.  An ndarray support's points are the
-Python numbers that ``tolist`` gives.
+Python numbers that ``tolist`` gives; the array route keeps such a support as
+an array only, and builds the tuple of `Pmf.support` on first access.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import numpy as np
 from .errors import AllZeroMass, InvalidMass, NonNumericSupport
 
 
-def _shift_exp(log_weights, axis=None) -> np.ndarray:
+def _shift_exp(log_weights, axis=None, *, fresh=False) -> np.ndarray:
     """Weights exp(logw - max), so the largest is 1; shift-by-max keeps exp from underflowing.
 
     With `axis` each slice along that axis is shifted by its own maximum.
+    With `fresh` the weights overwrite `log_weights`, a float array no one else
+    holds, instead of filling two new arrays; the bits are the same.
     """
     logw = np.asarray(log_weights, dtype=float)
     top = logw.max(axis=axis, keepdims=True) if logw.size else -np.inf
@@ -34,7 +37,10 @@ def _shift_exp(log_weights, axis=None) -> np.ndarray:
         raise ValueError("a log-weight is NaN or +inf")
     if not np.isfinite(top).all():
         raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
-    return np.exp(logw - top)
+    if not fresh:
+        return np.exp(logw - top)
+    logw -= top
+    return np.exp(logw, out=logw)
 
 
 def _logsumexp(x, axis=None):
@@ -78,6 +84,30 @@ def _array_weights(support, weights):
     return w if ok else None
 
 
+def _is_frozen(a) -> bool:
+    """Whether no array can write the data of the ndarray `a`: it, and every array
+    it views down to the one owning the data, is read-only."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
+def _kept_points(support: np.ndarray) -> np.ndarray:
+    """An array-route ndarray support as a read-only array whose `tolist` gives its points.
+
+    Floats are kept as float64 and integers in their own dtype; an array that
+    already is so and that nothing can write is kept without a copy.
+    """
+    dtype = np.dtype(float) if support.dtype.kind == "f" else support.dtype
+    if support.dtype == dtype and _is_frozen(support):
+        return support
+    points = support.astype(dtype)
+    points.flags.writeable = False
+    return points
+
+
 @dataclass(frozen=True)
 class CredibleInterval:
     """Equal-tailed interval holding at least `mass` posterior probability."""
@@ -94,16 +124,17 @@ class Pmf:
     pairs, or separate ``support``/``weights`` sequences.  Weights must be
     nonnegative with a positive total; they are normalized on construction,
     so relative proportions are all that matters.  On the array route an
-    ndarray support is also kept, read-only and as floats, for `mean`.
+    ndarray support is kept only as a read-only array (`points`); the
+    `support` tuple is built from it on first access.
     """
 
-    __slots__ = ("_support", "_probs", "_values")
+    __slots__ = ("_support", "_points", "_probs")
 
     def __init__(self, support, weights=None):
-        points = support.tolist() if isinstance(support, np.ndarray) else support
         probs = None if weights is None else _array_weights(support, weights)
-        self._values = None
+        self._support = self._points = None
         if probs is None:
+            points = support.tolist() if isinstance(support, np.ndarray) else support
             if weights is not None:
                 items = list(zip(points, weights, strict=True))
             elif isinstance(points, Mapping):
@@ -118,17 +149,17 @@ class Pmf:
                 if not np.isfinite(w) or w < 0:
                     raise ValueError(f"weight for {point!r} must be finite and >= 0, got {weight!r}")
                 acc[point] = acc.get(point, 0.0) + w
-            points = sorted(acc)
-            probs = np.array([acc[p] for p in points], dtype=float)
+            self._support = tuple(sorted(acc))
+            probs = np.array([acc[p] for p in self._support], dtype=float)
         elif isinstance(support, np.ndarray):
-            self._values = support.astype(float)
-            self._values.flags.writeable = False
+            self._points = _kept_points(support)
+        else:
+            self._support = tuple(support)
         total = probs.sum()
         if total <= 0.0:
             raise AllZeroMass("all weights are zero")
         probs /= total
         probs.flags.writeable = False
-        self._support = tuple(points)
         self._probs = probs
 
     @classmethod
@@ -140,7 +171,26 @@ class Pmf:
 
     @property
     def support(self) -> tuple:
+        if self._support is None:  # two threads racing here build equal tuples
+            self._support = tuple(self._points.tolist())
         return self._support
+
+    @property
+    def points(self) -> np.ndarray:
+        """The support as a numeric array, without building the `support` tuple.
+
+        On the array route with an ndarray support this is the kept read-only
+        array; otherwise it is a new float array.  `NonNumericSupport` where a
+        point is not a number.
+        """
+        if self._points is not None:
+            return self._points
+        bad = {t for t in set(map(type, self._support))
+               if issubclass(t, bool) or not issubclass(t, Number)}
+        if bad:
+            p = next(p for p in self._support if type(p) in bad)
+            raise NonNumericSupport(f"support point {p!r} is not numeric")
+        return np.asarray(self._support, dtype=float)
 
     @property
     def probs(self) -> np.ndarray:
@@ -149,15 +199,15 @@ class Pmf:
     def prob(self, point) -> float:
         """Probability of a single support point (0 if absent)."""
         try:
-            return float(self._probs[self._support.index(point)])
+            return float(self._probs[self.support.index(point)])
         except ValueError:
             return 0.0
 
     def items(self):
-        return zip(self._support, self._probs)
+        return zip(self.support, self._probs)
 
     def __len__(self) -> int:
-        return len(self._support)
+        return len(self._probs)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p!r}: {w:.6g}" for p, w in self.items())
@@ -165,25 +215,15 @@ class Pmf:
 
     # -- summaries ----------------------------------------------------------
 
-    def _numeric_support(self) -> np.ndarray:
-        if self._values is not None:
-            return self._values
-        bad = {t for t in set(map(type, self._support))
-               if issubclass(t, bool) or not issubclass(t, Number)}
-        if bad:
-            p = next(p for p in self._support if type(p) in bad)
-            raise NonNumericSupport(f"support point {p!r} is not numeric")
-        return np.asarray(self._support, dtype=float)
-
     def mean(self) -> float:
         """Expected value over a numeric support."""
-        return float(np.dot(self._numeric_support(), self._probs))
+        return float(np.dot(self.points, self._probs))
 
     def quantile(self, q: float):
         """Smallest support point whose cumulative mass reaches ``q``."""
         cum = np.cumsum(self._probs)
-        idx = int(np.searchsorted(cum, q, side="left"))
-        return self._support[min(idx, len(self._support) - 1)]
+        idx = min(int(np.searchsorted(cum, q, side="left")), len(self._probs) - 1)
+        return self._support[idx] if self._points is None else self._points[idx].item()
 
     def median(self):
         return self.quantile(0.5)
@@ -237,9 +277,13 @@ class JointPmf2D:
     __slots__ = ("_x_grid", "_y_grid", "_probs")
 
     def __init__(self, x_grid, y_grid, weights):
+        self._build(x_grid, y_grid, np.asarray(weights, dtype=float), fresh=False)
+
+    def _build(self, x_grid, y_grid, w: np.ndarray, fresh: bool) -> None:
+        """Check and normalise; with `fresh` the float array `w`, which no one else
+        holds, is normalised in place and becomes `probs`."""
         x = np.asarray(x_grid, dtype=float)
         y = np.asarray(y_grid, dtype=float)
-        w = np.asarray(weights, dtype=float)
         if not (_is_axis(x) and _is_axis(y)):
             raise ValueError("grid axes must be 1-D, finite and strictly increasing")
         if w.shape != (x.size, y.size):
@@ -249,7 +293,7 @@ class JointPmf2D:
         total = w.sum()
         if total <= 0.0:
             raise AllZeroMass("all joint weights are zero")
-        probs = w / total
+        probs = np.divide(w, total, out=w if fresh else None)
         for arr in (x, y, probs):
             arr.flags.writeable = False
         self._x_grid = x
@@ -258,7 +302,11 @@ class JointPmf2D:
 
     @classmethod
     def from_log_weights(cls, x_grid, y_grid, log_weights: np.ndarray) -> "JointPmf2D":
-        return cls(x_grid, y_grid, _shift_exp(log_weights))
+        """Normalize log-domain weights (shift-by-max); one copy of them becomes `probs`."""
+        weights = _shift_exp(np.array(log_weights, dtype=float), fresh=True)
+        joint = cls.__new__(cls)
+        joint._build(x_grid, y_grid, weights, fresh=True)
+        return joint
 
     @property
     def x_grid(self) -> np.ndarray:

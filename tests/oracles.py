@@ -4,7 +4,8 @@ Everything here is deliberately written with the standard library only
 (explicit loops, Fractions, math.factorial) so the oracles share no code
 path with the package under test.  The one exception is
 `gaussian_mixture_oracle`, the dense NumPy form of the Gaussian-kernel sum,
-which the blocked kernel must reproduce bit for bit.
+which the blocked kernel must reproduce bit for bit.  (The speedup posterior
+oracles take the package's prior and supply their own likelihood.)
 """
 
 from __future__ import annotations
@@ -308,6 +309,39 @@ def speedup_posterior_dense_oracle(primary, calib, deltas, grid_spec, bandwidth,
         for d in primary:
             log_post += np.log(gaussian_mixture_oracle(float(d) - support, deltas, delta_bandwidth))
     return Pmf.from_log_weights(prior.support, log_post)
+
+
+def log_kernel_sum_oracle(x: float, samples, bandwidth: float) -> float:
+    """log sum_i exp(-0.5 z_i**2), z_i = (x - s_i) / bandwidth, in Python floats.
+
+    The terms are shifted by the largest before `exp` and added by
+    `math.fsum`, so a sum far below the float range still has its log.
+    """
+    q = [-0.5 * (z * z) for z in ((x - s) / bandwidth for s in samples)]
+    top = max(q)
+    return top + math.log(math.fsum(math.exp(v - top) for v in q))
+
+
+def speedup_posterior_log_oracle(primary, calib, deltas, grid_spec, bandwidth, delta_bandwidth):
+    """The speedup posterior's masses with every kernel sum from `log_kernel_sum_oracle`.
+
+    The prior is the package's; a column it gives no mass keeps none.  Log
+    weights are shifted by their maximum, exponentiated and normalised by
+    `math.fsum`.  Returns the masses as a list, one per grid point.
+    """
+    from bayeskit.density import exclude_interval, kde, to_pmf
+
+    prior = to_pmf(exclude_interval(kde(calib, bandwidth, grid_spec), -1.0, 1.0, half_open=True))
+    logw = []
+    for h, p in zip(prior.support, prior.probs.tolist()):
+        v = math.log(p) if p > 0 else -math.inf
+        for d in primary if p > 0 else ():
+            v += log_kernel_sum_oracle(float(d) - h, deltas, delta_bandwidth)
+        logw.append(v)
+    top = max(logw)
+    weights = [math.exp(v - top) for v in logw]
+    norm = math.fsum(weights)
+    return [w / norm for w in weights]
 
 
 def compositions_oracle(k: int, n: int):

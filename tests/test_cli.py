@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -910,7 +913,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_loads_no_xml_network_or_rational_stack():
-    # only numpy and a short stdlib list: no XML, URL, HTTP, e-mail or rational-number modules
+    # only numpy and a short stdlib list: no XML, URL, HTTP, e-mail or rational-number
+    # modules, and no OpenSSL (input digests come from CPython's built-in SHA-256)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -920,8 +924,69 @@ def test_cli_import_loads_no_xml_network_or_rational_stack():
     )
     loaded = set(proc.stdout.split())
     assert "bayeskit.cli" in loaded and "numpy" in loaded
-    banned = ("xml", "urllib.request", "http.client", "email", "fractions", "decimal", "scipy")
+    banned = ("xml", "urllib.request", "http.client", "email", "fractions", "decimal", "scipy",
+              "_hashlib", "ssl")
     assert sorted(m for m in loaded if m in banned or m.partition(".")[0] in banned) == []
+
+
+def test_whole_job_leaves_openssl_out(tmp_path):
+    # a fit-defects run digests its input for report.json without loading OpenSSL's bindings
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ("import sys; from bayeskit.cli import main; "
+              f"code = main(['fit-defects', '--data', {str(DATA / 'demo_bugs.csv')!r}, "
+              f"'--out', {str(tmp_path)!r}, '--grid', '60x40']); "
+              "print(code, '_hashlib' in sys.modules, 'ssl' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["0", "False", "False"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    digest = hashlib.sha256((DATA / "demo_bugs.csv").read_bytes()).hexdigest()
+    assert list(report["inputs"].values()) == [digest]
+
+
+class TestDigest:
+    """`cli._sha256` gives hashlib's digests from CPython's built-in SHA-256."""
+
+    @pytest.mark.parametrize("content", [b"", b"\x00", b"a", bytes(range(256)) * 12289])
+    def test_matches_hashlib(self, tmp_path, content):
+        path = tmp_path / "input.csv"
+        path.write_bytes(content)
+        assert cli._sha256(path) == hashlib.sha256(content).hexdigest()
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+    def test_fallback_chain(self, tmp_path, monkeypatch, blocked):
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        source = hashlib
+        for name in ("_sha2", "_sha256"):
+            if name not in blocked and importlib.util.find_spec(name) is not None:
+                source = importlib.import_module(name)
+                break
+        assert type(cli._new_sha256()) is type(source.sha256())
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"class_id,found_simple\n" * 1000)
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_jobs_build_no_large_support_tuple(tmp_path, monkeypatch):
+    # charts and summaries read a posterior's support array; only the 100-bin
+    # derived pmf, whose points go into its JSON, builds the tuple
+    from bayeskit.pmf import Pmf
+
+    built = []
+    tuple_of = Pmf.support.fget
+
+    def spy(self):
+        built.append(len(self))
+        return tuple_of(self)
+
+    monkeypatch.setattr(Pmf, "support", property(spy))
+    perf = ["compare-performance", "--primary", DATA / "demo_primary.csv",
+            "--calib", DATA / "demo_bench.csv", "--metric", "time", "--plots"]
+    bugs = ["--data", DATA / "demo_bugs.csv"]
+    for args in (perf, ["fit-defects", *bugs], ["derived-plots", *bugs, "--at-most", "5"]):
+        assert run([*args, "--out", tmp_path / args[0]]) == 0
+    assert built and max(built) <= 100
 
 
 def test_cli_import_leaves_thread_pool_out():

@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import pickle
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeskit.defects import (
+    DEFAULT_ALPHA_RANGE,
+    DEFAULT_BETA_RANGE,
+    DEFAULT_GRID_STEPS,
+    PRIORS,
     BugCounts,
     ClassEstimate,
     EffectivenessGrid,
@@ -31,7 +36,7 @@ from bayeskit.defects import (
     weibull_pdf,
 )
 from bayeskit.errors import AllZeroMass, InvalidProbability, NonPositiveParams
-from bayeskit.pmf import JointPmf2D
+from bayeskit.pmf import JointPmf2D, Pmf, _logsumexp
 
 from oracles import class_totals_oracle, lcg_uniforms, weibull_fit_oracle, weibull_inverse_cdf
 
@@ -589,3 +594,97 @@ class TestRecordParity:
         assert rec._replace(loc=7) == BugCounts("c1", 1, 2, None, 7)
         with pytest.raises(ValueError, match="^loc must be positive: BugCounts"):
             rec._replace(loc=0)
+
+
+def _traced_peak(call):
+    """The result of `call()` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _expression_fit(counts, prior_kind, grid):
+    """`fit_weibull_posterior`'s masses from the one-expression form it was first written in."""
+    data = np.asarray([float(c) for c in counts])
+    (a_lo, a_hi), (b_lo, b_hi), (n_a, n_b) = grid
+    alphas = np.geomspace(a_lo, a_hi, n_a)
+    log_a = np.log(alphas)[:, None]
+    betas = np.linspace(b_lo, b_hi, n_b)
+    x, m = np.unique(data + 1.0, return_counts=True)
+    n, log_x = data.size, np.log(x)
+    log_power_sum = _logsumexp(np.log(m) + np.outer(betas, log_x), axis=1)
+    with np.errstate(over="ignore"):
+        power_sum = np.exp(log_power_sum - betas * log_a)
+    logw = n * (np.log(betas) - log_a) + (betas - 1.0) * (m @ log_x - n * log_a) - power_sum
+    if prior_kind == "jeffreys":
+        logw -= log_a + np.log(betas)
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
+def _expression_derived(n, joint, bins):
+    """`derived_prob_at_most`'s binned pmf from the expressions it was first written with."""
+    values = 1.0 - np.exp(-(((n + 1.0) / joint.x_grid[:, None]) ** joint.y_grid[None, :]))
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    idx = np.clip(np.searchsorted(edges, values.ravel(), side="right") - 1, 0, bins - 1)
+    mass = np.zeros(bins)
+    np.add.at(mass, idx, joint.probs.ravel())
+    return Pmf((edges[:-1] + edges[1:]) / 2.0, mass)
+
+
+class TestInPlaceGrids:
+    """The defect grids are built in place: the same bits, at most about two grid arrays."""
+
+    GRID = (DEFAULT_ALPHA_RANGE, DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS)
+    GRID_BYTES = DEFAULT_GRID_STEPS[0] * DEFAULT_GRID_STEPS[1] * 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 400), min_size=1, max_size=30),
+        prior=st.sampled_from(PRIORS),
+        n_a=st.integers(2, 40),
+        n_b=st.integers(2, 30),
+        a_hi=st.floats(1.0, 1e4),
+    )
+    def test_fit_matches_expression_form(self, counts, prior, n_a, n_b, a_hi):
+        grid = ((0.1, a_hi), (0.1, 3.0), (n_a, n_b))
+        got = fit_weibull_posterior(counts, prior, grid)
+        assert got.probs.tobytes() == _expression_fit(counts, prior, grid).tobytes()
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_fit_holds_at_most_two_and_a_half_grid_arrays(self, prior):
+        counts = [0, 1, 1, 2, 3, 5, 8, 13, 0, 4] * 20
+        fit_weibull_posterior(counts, prior)  # caches and first-use allocations out of the count
+        joint, peak = _traced_peak(lambda: fit_weibull_posterior(counts, prior))
+        assert joint.probs.tobytes() == _expression_fit(counts, prior, self.GRID).tobytes()
+        assert peak < 2.5 * self.GRID_BYTES
+
+    @pytest.mark.parametrize("n, bins", [(0, 100), (5, 100), (40, 7), (10_000, 1)])
+    def test_derived_matches_expression_form(self, n, bins):
+        joint = fit_weibull_posterior([0, 2, 3, 9, 1], "jeffreys", ((0.5, 60), (0.2, 3), (50, 40)))
+        got = derived_prob_at_most(n, joint, bins=bins)
+        want = _expression_derived(n, joint, bins)
+        assert got.support == want.support and got.probs.tobytes() == want.probs.tobytes()
+
+    def test_derived_holds_at_most_two_and_a_half_grid_arrays(self):
+        joint = fit_weibull_posterior([0, 1, 1, 2, 3, 5, 8, 13, 0, 4] * 20)
+        derived_prob_at_most(5, joint, bins=100)
+        pmf, peak = _traced_peak(lambda: derived_prob_at_most(5, joint, bins=100))
+        assert pmf.probs.tobytes() == _expression_derived(5, joint, 100).probs.tobytes()
+        assert peak < 2.5 * self.GRID_BYTES
+
+    def test_public_constructors_leave_the_callers_arrays_alone(self):
+        logw = np.linspace(-5.0, 0.0, 12).reshape(3, 4)
+        weights = np.exp(logw)
+        kept_logw, kept_weights = logw.copy(), weights.copy()
+        from_logs = JointPmf2D.from_log_weights([1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], logw)
+        direct = JointPmf2D([1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], weights)
+        assert np.array_equal(logw, kept_logw) and np.array_equal(weights, kept_weights)
+        assert logw.flags.writeable and weights.flags.writeable
+        assert from_logs.probs is not logw and direct.probs is not weights
+        shifted = np.exp(kept_logw - kept_logw.max())
+        assert from_logs.probs.tobytes() == (shifted / shifted.sum()).tobytes()

@@ -143,6 +143,22 @@ class TestKde:
             with pytest.raises(InvalidGrid, match=f"^kde range {text}$"):
                 kde([0.0], 1.0, spec)
 
+    @pytest.mark.parametrize("spec, spacing", [((0, 1e-320, 1000), "1e-323"), ((0, 1e-310, 3), "5e-311")])
+    def test_subnormal_spacing_named(self, spec, spacing):
+        # the points are distinct, but a density over them would normalise to infinities
+        text = f"kde range \\({spec[0]}, {spec[1]}\\) is too narrow for {spec[2]} points: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match=f"^{text}their spacing {spacing} is subnormal$"):
+                kde([0.0], 1.0, spec)
+
+    def test_smallest_normal_spacing_is_built(self):
+        tiny = np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = kde([0.0], 1.0, (0.0, 2 * tiny, 3))
+        assert np.isfinite(d.density).all() and d.spacing == tiny
+
     def test_range_one_float_apart_per_point_is_built(self):
         hi = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
         d = kde([1.0], 1.0, (1.0, hi, 3))
@@ -209,6 +225,16 @@ class TestDensityGrid:
     def test_short_nested_or_unsorted_grid_rejected(self, grid):
         with pytest.raises(InvalidGrid, match="grid must be 1-D"):
             DensityGrid(grid, np.ones(np.shape(grid)))
+
+    @pytest.mark.parametrize("grid, density, spacing", [
+        ([0.0, 1e-310, 2e-310], [1.0, 1.0, 1.0], "1e-310"),  # 1 / 3e-310 overflows
+        ([0.0, 1e-309], [1.0, 0.0], "1e-309"),  # so does 1 / 1e-309
+    ])
+    def test_spacing_too_small_to_normalise_rejected(self, grid, density, spacing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match=f"^grid spacing {spacing}"):
+                DensityGrid(grid, density)
 
 
 class TestExcludeInterval:
@@ -360,15 +386,23 @@ class TestGaussianMixtureKernel:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("bandwidth", [1.0, 1e-300])
     def test_overflowing_terms_are_zero_without_warning(self, monkeypatch, workers, bandwidth):
-        # x - s, z or z * z overflows to inf here; exp(-inf) is the 0.0 the term rounds to
+        # x - s, z or z * z overflows to inf here; exp(-inf) is the 0.0 the term rounds to.
+        # At |z| = 1.5e154 only z * z overflows, not the oracle's (-0.5 * z) * z; at
+        # |z| <= 1e-155 the square is subnormal or 0 (with bandwidth 1.0): every exp is 0.0 or 1.0
         _use_cpus(monkeypatch, workers)
-        points = np.array([0.0, 1.0, 8e307, -8e307, 1.7e308])
+        points = np.array([0.0, 1.0, 8e307, -8e307, 1.7e308,
+                           1.5e154 * bandwidth, -1.5e154 * bandwidth, 1e-155, -1e-160, 1e-170, 5e-324])
         samples = np.array([1.7e308, -1.7e308, 0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = gaussian_mixture_density(points, samples, bandwidth)
         with np.errstate(over="ignore"):
             want = gaussian_mixture_oracle(points, samples, bandwidth)
+            z = (points[:, None] - samples) / bandwidth
+            square, halved_first = z * z, -0.5 * z * z
+        assert (np.isinf(square) & np.isfinite(halved_first)).any()
+        if bandwidth == 1.0:
+            assert ((square > 0) & (square < np.finfo(float).tiny)).any() and (square[z != 0] == 0).any()
         assert np.array_equal(got, want) and np.isfinite(got).all()
 
     def test_memory_stays_within_blocks(self):
@@ -381,6 +415,20 @@ class TestGaussianMixtureKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_one_scratch_block_per_span(self):
+        # the rows of a span go through one reused block of _BLOCK_ELEMENTS doubles, no second
+        points, samples = _kernel_inputs(4096, 4800)
+        out = np.empty(points.size)
+        block = density._block_rows(samples.size) * samples.size * 8
+        tracemalloc.start()
+        try:
+            density._mixture_rows(points, samples, 0.5, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block <= peak < 1.25 * block
+        assert np.array_equal(out, gaussian_mixture_oracle(points, samples, 0.5))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):

@@ -1,5 +1,7 @@
 """Tests for the discrete probability engine."""
 
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -432,6 +434,97 @@ class TestIncreasingFastPath:
         total_bugs_posterior(params, 3, 0.3, 0.8, 50)
         class_total_bugs(params, 3, EffectivenessGrid(e_steps=3, strong_steps=2), 50)
         derived_prob_at_most(2, fit_weibull_posterior([0, 1, 3], grid=((1, 9), (0.5, 2), (5, 4))), bins=10)
+
+
+class TestOneRepresentation:
+    """An ndarray support is kept as one read-only array; everything reads as on the dict route."""
+
+    QS = (0.0, 1e-9, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-12, 1.0, 1.5)
+
+    @staticmethod
+    def frozen(values):
+        arr = np.array(values)
+        arr.flags.writeable = False
+        return arr
+
+    def supports(self):
+        return {
+            "float array": np.linspace(-2.0, 3.0, 257),
+            "read-only float array": self.frozen(np.linspace(-2.0, 3.0, 257)),
+            "float32 array": np.linspace(-2.0, 3.0, 257, dtype=np.float32),
+            "int array": np.arange(-100, 157),
+            "uint8 array": np.arange(256, dtype=np.uint8),
+            "range": range(-100, 157),
+            "list": np.linspace(-2.0, 3.0, 257).tolist(),
+        }
+
+    @pytest.mark.parametrize("kind", ["float array", "read-only float array", "float32 array",
+                                      "int array", "uint8 array", "range", "list"])
+    def test_reads_as_the_dict_route(self, kind):
+        support = self.supports()[kind]
+        weights = np.random.default_rng(len(kind)).random(len(support))
+        points = support.tolist() if isinstance(support, np.ndarray) else list(support)
+        want = Pmf(dict(zip(points, weights.tolist())))
+        got = Pmf(support, weights)
+        for pmf in (got, pickle.loads(pickle.dumps(got)), Pmf(support, weights)):
+            assert [type(q) for q in (pmf.quantile(q) for q in self.QS)] == [
+                type(want.quantile(q)) for q in self.QS]
+            assert [pmf.quantile(q) for q in self.QS] == [want.quantile(q) for q in self.QS]
+            assert repr(pmf.mean()) == repr(want.mean()) and len(pmf) == len(want)
+            assert repr(pmf) == repr(want)
+            assert repr(pmf.support) == repr(want.support)
+            assert [pmf.prob(p) for p in points[::17] + [7.25, "x"]] == [
+                want.prob(p) for p in points[::17] + [7.25, "x"]]
+            assert list(pmf.items()) == list(want.items())
+            assert pmf.probs.tobytes() == want.probs.tobytes()
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(got, protocol))
+            assert repr(back) == repr(want) and back.probs.tobytes() == want.probs.tobytes()
+            assert np.array_equal(back.points, got.points) and back.points.dtype == got.points.dtype
+
+    def test_frozen_float_array_is_kept_without_a_copy(self):
+        grid = self.frozen(np.linspace(0.0, 1.0, 5))
+        assert Pmf(grid, np.ones(5)).points is grid
+        d = kde([0.2, 0.6], 0.1, (0.0, 1.0, 65))
+        assert to_pmf(d).points is d.grid
+        joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.ones((3, 2)))
+        assert joint.marginal_x().points is joint.x_grid and joint.marginal_y().points is joint.y_grid
+
+    @pytest.mark.parametrize("arr, read_only_view", [
+        (np.arange(5.0), False),
+        (np.arange(10.0)[::2], True),  # read-only, but its writeable base can still change it
+        (np.arange(5), False),  # integers stay integers
+        (np.arange(5.0, dtype=np.float32), False),
+    ])
+    def test_other_arrays_are_copied_read_only(self, arr, read_only_view):
+        arr = arr.copy() if not read_only_view else np.arange(10.0)[::2]
+        arr.flags.writeable = not read_only_view
+        pmf = Pmf(arr, np.ones(5))
+        before = pmf.support
+        assert pmf.points is not arr and not pmf.points.flags.writeable
+        assert pmf.points.dtype == (arr.dtype if arr.dtype.kind == "i" else np.float64)
+        (arr.base if read_only_view else arr)[:] = 9
+        assert pmf.support == before and pmf.points.tolist() == list(before)
+
+    def test_support_tuple_is_built_once_on_first_access(self):
+        grid, weights = self.frozen(np.linspace(0.0, 1.0, 4096)), np.ones(4096)
+        Pmf(grid, weights).credible_interval(0.9)
+        tracemalloc.start()
+        try:
+            pmf = Pmf(grid, weights)
+            assert pmf.mean() == pytest.approx(0.5) and pmf.median() == pmf.points[2047]
+            pmf.credible_interval(0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.nbytes  # a tuple of the 4096 floats alone takes about 4.5
+        assert pmf.support is pmf.support and all(type(p) is float for p in pmf.support)
+
+    def test_points_of_tuple_supports(self):
+        assert Pmf({2: 1.0, 0: 1.0}).points.tolist() == [0.0, 2.0]
+        assert Pmf(range(3), [1, 1, 1]).points.dtype == np.float64
+        with pytest.raises(NonNumericSupport, match="'a'"):
+            Pmf({"a": 1.0}).points
 
 
 class TestNonFiniteInputs:

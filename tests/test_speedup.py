@@ -1,12 +1,17 @@
 """Tests for pairwise speedup estimation and significance classification."""
 
+import copy
+import pickle
+import warnings
+from dataclasses import FrozenInstanceError, asdict, dataclass, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bayeskit import speedup
-from bayeskit.density import exclude_interval, kde, to_pmf
+from bayeskit.density import exclude_interval, kde, scott_bandwidth, to_pmf
 from bayeskit.errors import (
     AllZeroMass,
     DuplicateKey,
@@ -31,6 +36,7 @@ from bayeskit.speedup import (
     graph_to_dot,
     primary_speedups,
     ratio,
+    ratio_grid,
     relationship_graph,
     speedup_posterior,
 )
@@ -38,8 +44,10 @@ from bayeskit.speedup import (
 from oracles import (
     deltas_oracle,
     gaussian_mixture_oracle,
+    log_kernel_sum_oracle,
     ratio_oracle,
     speedup_posterior_dense_oracle,
+    speedup_posterior_log_oracle,
 )
 
 positive = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
@@ -261,6 +269,52 @@ class TestBenchmarkIndex:
             BenchmarkDataset([BenchmarkRecord("X", "t1", size, "v1", 1.0)])
 
 
+@dataclass(frozen=True)
+class DictBenchmarkRecord:
+    """`BenchmarkRecord` as it was, with an instance dict: the reference for parity."""
+
+    language: str
+    task: str
+    input_size: float
+    variant: str
+    value: float
+
+
+class TestBenchmarkRecordParity:
+    """`BenchmarkRecord` keeps no instance dict but behaves as the dict-backed dataclass did."""
+
+    @given(
+        language=st.text(max_size=5), task=st.text(max_size=5), input_size=positive,
+        variant=st.text(max_size=3), value=st.floats(allow_nan=False),
+    )
+    def test_repr_equality_and_hash(self, language, task, input_size, variant, value):
+        args = (language, task, input_size, variant, value)
+        rec, old = BenchmarkRecord(*args), DictBenchmarkRecord(*args)
+        assert repr(rec) == repr(old).replace("DictBenchmarkRecord", "BenchmarkRecord", 1)
+        assert hash(rec) == hash(old) and rec == BenchmarkRecord(*args)
+        assert rec != old and rec != args
+        assert rec != BenchmarkRecord(language, task, input_size, variant + "x", value)
+
+    def test_frozen_without_instance_dict(self):
+        rec = BenchmarkRecord("C", "t1", 1000.0, "v1", 2.5)
+        with pytest.raises(FrozenInstanceError):
+            rec.value = 3.0
+        with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+            rec.extra = 1
+        assert not hasattr(rec, "__dict__")
+        assert [f.name for f in fields(rec)] == [f.name for f in fields(DictBenchmarkRecord)]
+        assert replace(rec, value=4.0) == BenchmarkRecord("C", "t1", 1000.0, "v1", 4.0)
+        assert asdict(rec) == asdict(DictBenchmarkRecord("C", "t1", 1000.0, "v1", 2.5))
+
+    def test_pickle_and_copy_round_trip(self):
+        rec = BenchmarkRecord("C#", "t1", 1000.0, "v1", 2.5)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rec, protocol))
+            assert type(back) is BenchmarkRecord and back == rec
+        for twin in (copy.copy(rec), copy.deepcopy(rec)):
+            assert type(twin) is BenchmarkRecord and twin == rec and repr(twin) == repr(rec)
+
+
 class TestSpeedupPosterior:
     CALIB = [1.8, 2.0, 2.2, 2.5, 1.6]
     DELTAS = [-0.3, -0.1, 0.0, 0.1, 0.2, 0.3, -0.2]
@@ -368,6 +422,33 @@ def _dense_or_error(primary, calib, deltas, grid, bw, bw_delta):
         return type(exc)
 
 
+def _live_sums_underflow(primary, calib, deltas, grid, bw, bw_delta) -> bool:
+    """Whether an exact kernel sum at a column the prior gives mass is 0.0 or subnormal."""
+    prior = to_pmf(exclude_interval(kde(calib, bw, grid), -1, 1))
+    live = np.asarray(prior.support)[prior.probs > 0]
+    tiny = np.finfo(float).tiny
+    return any((gaussian_mixture_oracle(d - live, deltas, bw_delta) < tiny).any() for d in primary)
+
+
+def _check_against_oracles(primary, calib, deltas, grid, bw, bw_delta):
+    """`speedup_posterior` bit for bit against the dense oracle where no live column's exact
+    kernel sum underflows; where one does, against the log-domain oracle."""
+    want = _dense_or_error(primary, calib, deltas, grid, bw, bw_delta)
+    if isinstance(want, type) and want is not AllZeroMass:
+        with pytest.raises(want):
+            speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+        return
+    got = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+    if want is AllZeroMass or _live_sums_underflow(primary, calib, deltas, grid, bw, bw_delta):
+        # far data: log weights reach 1e8 in size here, where one ulp of L is a 1e-8 mass error
+        log_want = speedup_posterior_log_oracle(primary, calib, deltas, grid, bw, bw_delta)
+        assert np.isfinite(got.probs).all()
+        assert np.allclose(got.probs, log_want, rtol=1e-6, atol=1e-300)
+    else:
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.probs, want.probs)
+
+
 class TestPriorSupportOnly:
     """The likelihood is evaluated only where the posterior can hold mass, with the same bits."""
 
@@ -393,15 +474,7 @@ class TestPriorSupportOnly:
     @example(primary=[30.0], calib=[-3.0, 5.0], deltas=[0.2, -0.2], lo=-60.0, hi=60.0,
              n_points=257, bw=2.0, bw_delta=0.01)
     def test_matches_dense_oracle(self, primary, calib, deltas, lo, hi, n_points, bw, bw_delta):
-        grid = (lo, hi, n_points)
-        want = _dense_or_error(primary, calib, deltas, grid, bw, bw_delta)
-        if isinstance(want, type):
-            with pytest.raises(want):
-                speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
-            return
-        got = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.probs, want.probs)
+        _check_against_oracles(primary, calib, deltas, (lo, hi, n_points), bw, bw_delta)
 
     def test_example_has_dead_edges_band_and_underflowing_live_cells(self):
         # the first explicit example above really covers the three cases
@@ -447,29 +520,94 @@ class TestPriorSupportOnly:
         # many data near one ratio with a narrow scatter: most live columns are pruned
         primary = [center + o for o in offsets]
         calib = [center + o for o in calib_offsets]
-        grid = (-30.0, 30.0, n_points)
-        want = _dense_or_error(primary, calib, deltas, grid, bw, bw_delta)
-        if isinstance(want, type):
-            with pytest.raises(want):
-                speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
-            return
-        got = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.probs, want.probs)
+        _check_against_oracles(primary, calib, deltas, (-30.0, 30.0, n_points), bw, bw_delta)
 
-    def test_underflowing_anchor_prunes_nothing(self, monkeypatch):
-        # no speedup explains both data: every column's likelihood underflows, the anchor's too
+    def test_underflowing_anchor_is_taken_in_log_form(self, monkeypatch):
+        # no speedup explains both data: every column's exact kernel sum underflows, the
+        # anchor's too; in log form the anchor is finite and prunes only zero-mass columns
         seen = _spy_kernel(monkeypatch)
         primary, calib, deltas, grid = [2.0, 40.0], [2.0, 40.0], [-0.1, 0.0, 0.1], (-60.0, 60.0, 481)
-        with pytest.raises(AllZeroMass) as want:
+        with pytest.raises(AllZeroMass):
             speedup_posterior_dense_oracle(primary, calib, deltas, grid, 1.0, 0.05)
-        with pytest.raises(AllZeroMass, match=f"^{want.value}$"):
-            speedup_posterior(primary, calib, deltas, grid, 1.0, 0.05)
+        got = speedup_posterior(primary, calib, deltas, grid, 1.0, 0.05)
         [anchor] = [p for p in seen if p.ndim == 1]
         assert (gaussian_mixture_oracle(anchor, deltas, 0.05) == 0).any()
+        want = speedup_posterior_log_oracle(primary, calib, deltas, grid, 1.0, 0.05)
+        assert np.allclose(got.probs, want, rtol=1e-9, atol=1e-300)
         prior = to_pmf(exclude_interval(kde(calib, 1.0, grid), -1, 1))
         cols = _likelihood_columns(seen, primary, np.asarray(prior.support))
-        assert np.array_equal(cols, np.flatnonzero(prior.probs > 0))
+        live = np.flatnonzero(prior.probs > 0)
+        skipped = np.setdiff1d(live, cols)
+        assert np.isin(cols, live).all() and skipped.size > 0
+        assert (np.asarray(want)[skipped] == 0.0).all()
+
+
+class TestFarData:
+    """Kernel sums that underflow are taken in log form; the others keep their bits."""
+
+    def test_spread_out_data_no_longer_impossible(self):
+        # 38 delta bandwidths from every column, each exact kernel sum of one datum is 0.0
+        deltas = np.random.default_rng(7).normal(0.0, 0.1, 200)
+        primary, calib = [2.0, 40.0], [2.0, 5.0, 40.0]
+        post = speedup_posterior(primary, calib, deltas)
+        assert np.isfinite(post.probs).all() and post.probs.sum() == pytest.approx(1.0)
+        bw, bw_delta = scott_bandwidth(calib), scott_bandwidth(deltas)
+        grid = ratio_grid(primary + calib, bw)
+        with pytest.raises(AllZeroMass):
+            speedup_posterior_dense_oracle(primary, calib, deltas, grid, bw, bw_delta)
+        want = speedup_posterior_log_oracle(primary, calib, deltas, grid, bw, bw_delta)
+        assert np.allclose(post.probs, want, rtol=1e-9, atol=1e-300)
+        assert 19.0 < post.median() < 23.0  # between the two data, as their likelihoods balance
+
+    def test_log_sums_keep_bits_unless_they_underflow(self):
+        deltas = np.linspace(-0.3, 0.3, 13)
+        points = np.array([[0.0, 1.0, -2.5, 7.0], [7.9, 8.5, -30.0, 5e3]])  # 7.9: subnormal
+        got = speedup._log_kernel_sums(points, deltas, 0.2)
+        sums = gaussian_mixture_oracle(points.ravel(), deltas, 0.2).reshape(points.shape)
+        low = sums < np.finfo(float).tiny
+        assert low.any() and (sums[low] == 0).any() and (sums[low] > 0).any()
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(got[~low], np.log(sums[~low]))
+        want = [log_kernel_sum_oracle(x, deltas.tolist(), 0.2) for x in points[low]]
+        assert np.allclose(got[low], want, rtol=1e-14, atol=0)
+
+    def test_log_sums_in_blocks_and_overflow(self, monkeypatch):
+        # underflowing points beyond one block, and one whose every z * z overflows
+        monkeypatch.setattr(speedup, "_block_rows", lambda n: 3)
+        deltas = [-0.1, 0.0, 0.2]
+        points = np.array([50.0, 0.0, -60.0, 70.5, 1e3, 0.1, -2e3, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = speedup._log_kernel_sums(points, deltas, 0.05)
+        want = [log_kernel_sum_oracle(x, deltas, 0.05) for x in points[:-1].tolist()]
+        assert np.allclose(got[:-1], want, rtol=1e-14, atol=0)
+        assert got[-1] == -np.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=signed_ratios(30.0),
+        spreads=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3),
+        calib_offsets=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        deltas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        n_points=st.integers(16, 160),
+        bw=st.floats(0.05, 2.0),
+        bw_delta=st.floats(0.01, 1.0),
+    )
+    def test_spreads_up_to_a_thousand_bandwidths_match_log_oracle(
+        self, first, spreads, calib_offsets, deltas, n_points, bw, bw_delta
+    ):
+        # primary data up to 1e3 delta bandwidths apart; deltas scaled to that bandwidth
+        primary = [first] + [first + k * bw_delta for k in spreads]
+        calib = [first + o for o in calib_offsets]
+        deltas = [d * bw_delta for d in deltas]
+        grid = ratio_grid(primary + calib, bw, n_points)
+        try:
+            post = speedup_posterior(primary, calib, deltas, grid, bw, bw_delta)
+        except (EverythingExcluded, InvalidGrid):
+            return  # a prior problem, not the likelihood's
+        want = speedup_posterior_log_oracle(primary, calib, deltas, grid, bw, bw_delta)
+        assert np.isfinite(post.probs).all()
+        assert np.allclose(post.probs, want, rtol=1e-6, atol=1e-300)
 
 
 def _spy_kernel(monkeypatch):
