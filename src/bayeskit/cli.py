@@ -8,7 +8,17 @@ deterministic: identical inputs and flags give byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
+import os
+
+# OpenBLAS starts a worker thread when NumPy loads, and between a job's few
+# small BLAS calls that worker spin-waits on a second core.  So a process
+# that imports the CLI before NumPy loads OpenBLAS single-threaded, unless
+# its caller chose a BLAS thread count; a plain `import bayeskit` is not
+# affected, and neither are the kernel's own Python threads.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402 -- the BLAS setting above must come before NumPy loads
 import json
 import math
 import re
@@ -341,6 +351,16 @@ class DerivedPlotsConfig(_BugsConfig):
 # directory `main` gives it, and returns its report results and warnings.
 
 
+def _factor_fields(prefix: str, factor) -> dict:
+    """A Bayes factor's report fields: its value, Jeffreys label and log10 (None at 0)."""
+    # a factor below the float range underflows to 0.0 but keeps a finite log10
+    return {
+        f"{prefix}factor": float(factor),
+        f"{prefix}label": outcomes.jeffreys_label(factor) if factor > 0 else "negative",
+        f"log10_{prefix}factor": None if factor.log10 == -math.inf else factor.log10,
+    }
+
+
 def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dict, list]:
     table = datasets.load_outcomes(cfg.data)
     baselines = datasets.load_baselines(cfg.baselines)
@@ -376,23 +396,24 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dic
         per = {}
         for scheme in cfg.schemes:
             factor = outcomes.bayes_factor(counts, resolved[name], scheme, cfg.simplex_step)
-            # a factor below the float range underflows to 0.0 but keeps a finite log10
-            label = outcomes.jeffreys_label(factor) if factor > 0 else "negative"
-            log10 = None if factor.log10 == -math.inf else factor.log10
-            if log10 is None:
+            if factor.log10 == -math.inf:
                 # coarse grids can starve one hypothesis family of the data
                 warnings.append(
                     f"factor for baseline {name!r}, scheme {scheme!r} is 0; "
                     f"consider a finer --simplex-step"
                 )
-            per[scheme] = {"factor": float(factor), "label": label, "log10_factor": log10}
+            normalised = outcomes.normalised_bayes_factor(
+                counts, resolved[name], scheme, cfg.simplex_step)
+            per[scheme] = {**_factor_fields("", factor), **_factor_fields("normalised_", normalised)}
         factors[name] = per
 
-    rows = [
-        [scheme] + [_fmt6(factors[name][scheme]["factor"]) for name in names]
-        for scheme in cfg.schemes
-    ]
-    _write_csv(out_dir / "outcome_factors.csv", ["scheme", *names], rows)
+    for column, csv_name in (("factor", "outcome_factors.csv"),
+                             ("normalised_factor", "outcome_factors_normalised.csv")):
+        rows = [
+            [scheme] + [_fmt6(factors[name][scheme][column]) for name in names]
+            for scheme in cfg.schemes
+        ]
+        _write_csv(out_dir / csv_name, ["scheme", *names], rows)
     _write_json(out_dir / "outcome_factors.json", factors)
     results = {
         "groups": [counts.label_a, counts.label_b],

@@ -349,8 +349,10 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     Each (alpha, beta) cell contributes its probability that a class has at
     most n bugs (under the same shift-by-one convention as the fit), weighted
     by the cell mass.  With `bins` the values are aggregated onto an even
-    [0, 1] grid of bin centers; otherwise exact value spikes are returned.
-    Grid arrays are built in place, one for the values and one for the bins.
+    [0, 1] grid of bin centers; otherwise exact value spikes are returned,
+    each distinct value's masses summed in cell order, as a dict would.  The
+    values are built in place in one grid array; bins add one array of bin
+    indices, spikes the arrays of `np.unique`'s sort and inverse.
     """
     if n < 0:
         raise ValueError(f"at-most count must be nonnegative, got {n}")
@@ -365,13 +367,14 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     flat_vals = values.ravel()
     flat_mass = joint.probs.ravel()
     if bins is None:
-        return Pmf(flat_vals, flat_mass)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    idx = np.searchsorted(edges, flat_vals, side="right")
-    idx -= 1
-    np.clip(idx, 0, bins - 1, out=idx)
-    mass = np.zeros(bins)
+        centers, idx = np.unique(flat_vals, return_inverse=True)
+    else:
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        idx = np.searchsorted(edges, flat_vals, side="right")
+        idx -= 1
+        np.clip(idx, 0, bins - 1, out=idx)
+    mass = np.zeros(centers.size)
     np.add.at(mass, idx, flat_mass)
     return Pmf(centers, mass)
 

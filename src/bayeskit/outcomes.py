@@ -9,15 +9,17 @@ by a scheme that optionally down-weights distributions far from the baseline.
 The family is one integer composition array per (K, 1/step), built once.
 A Bayes factor takes one weighted log-multinomial vector per group over that
 array; the hypotheses only mask which grid points each group's sum covers,
-so the factor is a difference of four log-sum-exps.  Working in log space
-keeps factors far below the float range exact in `BayesFactor.log10` where
-the factor itself underflows to 0.0.
+so the factor is a difference of four log-sum-exps.  The normalised factor
+also divides out the prior mass of "A better", three more log-sum-exps over
+the weights alone.  Working in log space keeps factors far below the float
+range exact in `BayesFactor.log10` where the factor itself underflows to 0.0.
 
 The log-multinomial part of those vectors depends on neither the baseline
-nor the scheme, yet each factor recomputes it (well under a millisecond at
-step 0.01): the CLI still calls `bayes_factor` once per (baseline, scheme),
-so the function stays pure and a profile of those calls still covers all
-the outcome work.
+nor the scheme, yet each (baseline, scheme) recomputes it (well under a
+millisecond at step 0.01): the CLI calls `bayes_factor` once per (baseline,
+scheme), so the function stays pure and a profile of those calls still
+covers all the outcome work.  The `normalised_bayes_factor` call that
+follows it reads the same sums from a one-entry cache.
 """
 
 from __future__ import annotations
@@ -236,14 +238,18 @@ def scheme_weight(p: OutcomeDistribution, baseline: OutcomeDistribution, scheme:
     return float(_scheme_weights(delta, p.k, scheme))
 
 
+@lru_cache(maxsize=1)  # `bayes_factor` and `normalised_bayes_factor` of one case share it
 def _log_likelihoods(
     data: OutcomeCounts, baseline: OutcomeDistribution, scheme: str, step: float
-) -> tuple[float, float]:
-    """Natural logs of the "A better" and "no difference" likelihoods.
+) -> tuple[float, float, float]:
+    """Natural logs of the "A better" and "no difference" likelihoods, and of
+    the prior mass W(better) W(not better) / W(all)^2 of "A better".
 
     Each group's weighted log-likelihood is computed once over the whole
     simplex; the two hypotheses differ only in which grid points each
-    group's sum runs over.
+    group's sum runs over.  W(R) sums the scheme weights over region R, and
+    the prior mass is built in the likelihoods' order of operations, so it
+    cancels their ratio exactly when the data are empty.
     """
     if data.k != baseline.k:
         raise DimensionMismatch(f"counts K={data.k} against baseline K={baseline.k}")
@@ -256,9 +262,11 @@ def _log_likelihoods(
         log_w = np.log(_scheme_weights(np.abs(means - base), data.k, scheme))
     log_a = log_w + _log_multinomial(data.counts_a, probs)
     log_b = log_w + _log_multinomial(data.counts_b, probs)
+    log_all = _logsumexp(log_w)
     return (
         float(_logsumexp(log_a[better]) + _logsumexp(log_b[~better])),
         float(_logsumexp(log_a) + _logsumexp(log_b)),
+        float(_logsumexp(log_w[better]) + _logsumexp(log_w[~better]) - (log_all + log_all)),
     )
 
 
@@ -312,11 +320,38 @@ def bayes_factor(
     scheme: str = "uniform",
     step: float = 0.05,
 ) -> BayesFactor:
-    """How much the data favors "group A is better than baseline" over "no difference"."""
-    log_num, log_den = _log_likelihoods(data, baseline, scheme, step)
+    """How much the data favors "group A is better than baseline" over "no difference".
+
+    This is the paper's factor.  Both hypotheses share the unnormalised
+    scheme weights, so it is the posterior probability, under "no
+    difference", that A's distribution is better and B's is not, and it
+    never exceeds 1.
+    """
+    log_num, log_den, _ = _log_likelihoods(data, baseline, scheme, step)
     if log_den == -math.inf:
         raise ZeroDenominator("likelihood under the no-difference hypothesis is zero")
     return BayesFactor((log_num - log_den) / math.log(10))
+
+
+def normalised_bayes_factor(
+    data: OutcomeCounts,
+    baseline: OutcomeDistribution,
+    scheme: str = "uniform",
+    step: float = 0.05,
+) -> BayesFactor:
+    """`bayes_factor` divided by the prior mass of "group A is better than baseline".
+
+    This is the encompassing-prior Bayes factor (Klugkist, Kato & Hoijtink
+    2005): posterior over prior mass of the hypothesis, so it exceeds 1
+    where the data favour it, and empty data give exactly 1.  It is 0 where
+    no grid distribution with weight is better than the baseline.
+    """
+    log_num, log_den, log_prior = _log_likelihoods(data, baseline, scheme, step)
+    if log_den == -math.inf:
+        raise ZeroDenominator("likelihood under the no-difference hypothesis is zero")
+    if log_prior == -math.inf:
+        return BayesFactor(-math.inf)
+    return BayesFactor((log_num - log_den) / math.log(10) - log_prior / math.log(10))
 
 
 def jeffreys_label(k: float) -> str:

@@ -108,6 +108,16 @@ def _kept_points(support: np.ndarray) -> np.ndarray:
     return points
 
 
+def _set_frozen_state(obj, state) -> None:
+    """`__setstate__` for the slotted classes here: unpickled arrays come back
+    writeable, so they are made read-only again."""
+    _, slots = state
+    for name, value in slots.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        setattr(obj, name, value)
+
+
 @dataclass(frozen=True)
 class CredibleInterval:
     """Equal-tailed interval holding at least `mass` posterior probability."""
@@ -129,6 +139,7 @@ class Pmf:
     """
 
     __slots__ = ("_support", "_points", "_probs")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, support, weights=None):
         probs = None if weights is None else _array_weights(support, weights)
@@ -275,6 +286,7 @@ class JointPmf2D:
     """Probability mass over a 2-D parameter grid with axis marginals."""
 
     __slots__ = ("_x_grid", "_y_grid", "_probs")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, x_grid, y_grid, weights):
         self._build(x_grid, y_grid, np.asarray(weights, dtype=float), fresh=False)

@@ -136,6 +136,43 @@ def log10_bayes_factor_oracle(counts_a, counts_b, baseline, scheme, step) -> flo
     return _log10_exact(better_a * tied_or_worse_b) - _log10_exact(all_a * all_b)
 
 
+def normalised_factor_oracle(counts_a, counts_b, baseline, scheme, step) -> Fraction:
+    """The normalised Bayes factor as an exact rational.
+
+    It is the paper's factor divided by W(better) W(not better) / W(all)^2,
+    where W(R) sums the weights over region R of the grid.  Masses are exact
+    as in `log10_bayes_factor_oracle`.  It is 0 where no weighted grid
+    distribution is better than the baseline.
+    """
+    base_mean = _mean(baseline)
+    better_a = tied_or_worse_b = all_a = all_b = w_better = w_rest = Fraction(0)
+    for probs in simplex_oracle(len(counts_a), step):
+        w = Fraction(_weight(probs, baseline, scheme))
+        m_a, m_b = (w * _multinomial_exact(counts, probs) for counts in (counts_a, counts_b))
+        if _mean(probs) > base_mean:
+            better_a += m_a
+            w_better += w
+        else:
+            tied_or_worse_b += m_b
+            w_rest += w
+        all_a += m_a
+        all_b += m_b
+    if not w_better:
+        return Fraction(0)
+    prior_mass = w_better * w_rest / (w_better + w_rest) ** 2
+    return better_a * tied_or_worse_b / (all_a * all_b) / prior_mass
+
+
+def _multinomial_exact(counts, probs) -> Fraction:
+    coeff = math.factorial(sum(counts))
+    for c in counts:
+        coeff //= math.factorial(c)
+    mass = Fraction(coeff)
+    for c, p in zip(counts, probs):
+        mass *= p**c
+    return mass
+
+
 # -- outcome rescaling ----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayeskit import cli
+from bayeskit import cli, outcomes
 from bayeskit.cli import _write_json, build_parser, main
 
-from oracles import log10_bayes_factor_oracle
+from oracles import _log10_exact, log10_bayes_factor_oracle, normalised_factor_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -320,6 +321,67 @@ class TestCompareOutcomes:
         )
         assert got["log10_factor"] == pytest.approx(want, abs=1e-9)
         assert report["results"]["factors"]["T"]["uniform"] == got
+
+    def test_normalised_factors_beside_the_papers(self, tmp_path):
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
+             "--simplex-step", "0.05"]
+        )
+        assert code == 0
+        factors = json.loads((tmp_path / "outcome_factors.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["results"]["factors"] == factors
+        paper = read_csv(tmp_path / "outcome_factors.csv")
+        normalised = read_csv(tmp_path / "outcome_factors_normalised.csv")
+        assert normalised[0] == paper[0] and [r[0] for r in normalised] == [r[0] for r in paper]
+        for row in normalised[1:]:
+            for name, cell in zip(normalised[0][1:], row[1:]):
+                got = factors[name][row[0]]
+                assert set(got) == {"factor", "label", "log10_factor", "normalised_factor",
+                                    "normalised_label", "log10_normalised_factor"}
+                assert cell == cli._fmt6(got["normalised_factor"])
+                assert got["normalised_label"] == outcomes.jeffreys_label(got["normalised_factor"])
+                assert got["log10_normalised_factor"] == pytest.approx(
+                    math.log10(got["normalised_factor"]), rel=1e-12)
+                assert got["normalised_factor"] > got["factor"]
+        # agile against the survey's agile baseline, uniform weights: "barely" better
+        assert factors["A"]["uniform"]["normalised_label"] == "barely"
+
+    def test_zero_normalised_factor_written_as_null(self, tmp_path):
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
+             "--baseline-set", "AT", "--scheme", "uniform", "--simplex-step", "0.25"]
+        )
+        assert code == 0
+        got = json.loads((tmp_path / "outcome_factors.json").read_text())["AT"]["uniform"]
+        assert got["normalised_factor"] == 0.0 and got["normalised_label"] == "negative"
+        assert got["log10_normalised_factor"] is None
+        assert read_csv(tmp_path / "outcome_factors_normalised.csv")[1] == ["uniform", "0"]
+
+    def test_underflowing_normalised_factor_keeps_log10(self, tmp_path):
+        # structured ahead of agile, the counts x200: the normalised factor underflows
+        counts = {"agile": (3, 2, 0), "structured": (0, 2, 6)}
+        rows = ["project_id,group,category"]
+        for group, per in counts.items():
+            for category, c in enumerate(per):
+                rows += [f"{group}{category}_{i},{group},{category}" for i in range(200 * c)]
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", data, "--hypothesis-group", "agile",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out,
+             "--baseline-set", "T", "--scheme", "exp", "--simplex-step", "0.1"]
+        )
+        assert code == 0
+        got = json.loads((out / "outcome_factors.json").read_text())["T"]["exp"]
+        assert got["normalised_factor"] == 0.0 and got["normalised_label"] == "negative"
+        want = normalised_factor_oracle(
+            tuple(200 * c for c in counts["agile"]), tuple(200 * c for c in counts["structured"]),
+            (Fraction(18, 100), Fraction(32, 100), Fraction(50, 100)), "exp", 0.1)
+        assert got["log10_normalised_factor"] == pytest.approx(_log10_exact(want), abs=1e-9)
 
     def test_unknown_baseline_fails(self, tmp_path, capsys):
         code = run(
@@ -998,3 +1060,105 @@ def test_cli_import_leaves_thread_pool_out():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code, **env):
+    """Standard output of `code` in a new interpreter on src/, with the BLAS thread
+    variables unset except those given in `env`."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=str(ROOT / "src"), **env), check=True)
+    return proc.stdout
+
+
+class TestLazyPackage:
+    """`import bayeskit` loads no submodule; each public name loads its own on first use."""
+
+    PUBLIC = [
+        "AUTO", "BayesFactor", "BenchmarkDataset", "BenchmarkRecord", "BugCounts",
+        "ComparisonSummary", "CredibleInterval", "DensityGrid", "EffectivenessGrid", "JointPmf2D",
+        "OutcomeCounts", "OutcomeDistribution", "Pmf", "RelationshipGraph", "WeibullParams",
+        "baseline_distribution", "bayes_factor", "better_than", "binomial_pmf", "calib_deltas",
+        "calib_speedups", "class_total_bugs", "classify", "compare_pair", "defects", "density",
+        "derived_prob_at_most", "effectiveness_posterior", "enumerate_simplex", "errors",
+        "exclude_interval", "fit_weibull_posterior", "graph_to_dot", "iterate_update",
+        "jeffreys_label", "kde", "likelihood_better", "likelihood_equal", "mixture",
+        "multinomial_pmf", "outcomes", "pareto_fraction", "pmf", "primary_speedups", "ratio",
+        "relationship_graph", "rescale_outcome", "scheme_weight", "scott_bandwidth", "speedup",
+        "speedup_posterior", "to_pmf", "total_bugs_posterior", "update", "weibull_cdf",
+        "weibull_pdf",
+    ]
+
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, bayeskit; print(bayeskit.__version__, 'numpy' in sys.modules)"
+        assert _fresh_python(code).split() == ["0.1.0", "False"]
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import json, sys, types, bayeskit\n"
+            "names = list(bayeskit.__all__)\n"
+            "listed = set(dir(bayeskit))\n"
+            "homes = {}\n"
+            "for name in names:\n"
+            "    ns = {}\n"
+            "    exec(f'from bayeskit import {name}', ns)\n"
+            "    obj = ns[name]\n"
+            "    assert obj is getattr(bayeskit, name), name\n"
+            "    if isinstance(obj, types.ModuleType):\n"
+            "        homes[name] = obj.__name__\n"
+            "    elif hasattr(obj, '__module__') and obj.__module__.startswith('bayeskit.'):\n"
+            "        assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+            "print(json.dumps([names, sorted(set(names) - listed), homes]))\n"
+        )
+        names, unlisted, homes = json.loads(_fresh_python(code))
+        assert names == self.PUBLIC and unlisted == []
+        assert homes == {m: f"bayeskit.{m}" for m in
+                         ("defects", "density", "errors", "outcomes", "pmf", "speedup")}
+
+    def test_star_import_and_submodules_not_listed(self):
+        code = ("from bayeskit import *\n"
+                "import bayeskit, bayeskit.datasets\n"
+                "print(Pmf.__module__, 'datasets' in bayeskit.__all__, bayeskit.datasets.__name__)")
+        assert _fresh_python(code).split() == ["bayeskit.pmf", "False", "bayeskit.datasets"]
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        code = ("import bayeskit\n"
+                "try:\n"
+                "    bayeskit.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)\n"
+                "try:\n"
+                "    from bayeskit import no_such_name\n"
+                "except ImportError as exc:\n"
+                "    print(type(exc).__name__)\n")
+        assert _fresh_python(code).splitlines() == [
+            "module 'bayeskit' has no attribute 'no_such_name'", "ImportError"]
+
+
+class TestBlasThreads:
+    """A process that imports the CLI loads OpenBLAS single-threaded unless its caller chose."""
+
+    REPORT = ("import os, bayeskit.cli\n"
+              "print([os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', "
+              "'OMP_NUM_THREADS')])")
+
+    def test_unset_becomes_one(self):
+        assert _fresh_python(self.REPORT).strip() == "['1', None, None]"
+
+    @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+    def test_callers_setting_is_left_alone(self, variable):
+        want = [("2" if v == variable else None) for v in BLAS_THREAD_VARIABLES]
+        assert _fresh_python(self.REPORT, **{variable: "2"}).strip() == repr(want)
+
+    def test_library_import_keeps_blas_threads(self):
+        code = "import os, bayeskit, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert _fresh_python(code).strip() == "None"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_cli_process_has_one_thread(self):
+        code = ("import os, sys, bayeskit.cli\n"
+                "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
+        assert _fresh_python(code).split() == ["True", "1"]

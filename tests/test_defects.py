@@ -677,6 +677,36 @@ class TestInPlaceGrids:
         assert pmf.probs.tobytes() == _expression_derived(5, joint, 100).probs.tobytes()
         assert peak < 2.5 * self.GRID_BYTES
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 60),
+        n_a=st.integers(1, 30),
+        n_b=st.integers(1, 30),
+        a_hi=st.floats(0.5, 1e4),
+        b_hi=st.floats(0.2, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unbinned_matches_the_dict_route(self, n, n_a, n_b, a_hi, b_hi, seed):
+        # spikes carry each distinct value's masses summed in cell order, as a dict would
+        alphas = np.geomspace(0.1, a_hi, n_a) if n_a > 1 else np.array([a_hi])
+        betas = np.linspace(0.1, b_hi, n_b) if n_b > 1 else np.array([b_hi])
+        weights = np.random.default_rng(seed).random((alphas.size, betas.size))
+        weights[weights < 0.2] = 0.0  # zero-mass cells stay in the support
+        weights[0, 0] = 1.0
+        joint = JointPmf2D(alphas, betas, weights)
+        values = 1.0 - np.exp(-(((n + 1.0) / joint.x_grid[:, None]) ** joint.y_grid[None, :]))
+        want = Pmf(list(zip(values.ravel().tolist(), joint.probs.ravel().tolist())))  # dict route
+        got = derived_prob_at_most(n, joint)
+        assert got.support == want.support and got.probs.tobytes() == want.probs.tobytes()
+
+    def test_unbinned_holds_a_few_grid_arrays(self):
+        # the dict route held about 26 grid arrays here
+        joint = fit_weibull_posterior([0, 1, 1, 2, 3, 5, 8, 13, 0, 4] * 20)
+        derived_prob_at_most(5, joint)
+        pmf, peak = _traced_peak(lambda: derived_prob_at_most(5, joint))
+        assert len(pmf) > 0.5 * joint.probs.size  # mostly distinct values
+        assert peak < 8 * self.GRID_BYTES
+
     def test_public_constructors_leave_the_callers_arrays_alone(self):
         logw = np.linspace(-5.0, 0.0, 12).reshape(3, 4)
         weights = np.exp(logw)

@@ -3,12 +3,14 @@
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bayeskit.datasets import load_baselines
 from bayeskit.errors import (
     DimensionMismatch,
     EmptyCategorySet,
@@ -28,17 +30,23 @@ from bayeskit.outcomes import (
     likelihood_better,
     likelihood_equal,
     multinomial_pmf,
+    normalised_bayes_factor,
     rescale_outcome,
     scheme_weight,
 )
 
 from oracles import (
+    _log10_exact,
     bayes_factor_oracle,
     compositions_oracle,
     lcg_uniforms,
     log10_bayes_factor_oracle,
+    normalised_factor_oracle,
     rescale_oracle,
 )
+
+SCHEMES = ("uniform", "triangle", "power", "exp")
+BUNDLED_BASELINES = load_baselines(Path(__file__).resolve().parents[1] / "data" / "outcome_baselines.csv")
 
 SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
 SURVEY_T = OutcomeDistribution((0.18, 0.32, 0.50))
@@ -384,6 +392,90 @@ class TestLogSpace:
         got = bayes_factor(OutcomeCounts((1, 2, 3), (2, 1, 1)), SURVEY_T, "exp", 0.25)
         back = pickle.loads(pickle.dumps(got))
         assert back == got and back.log10 == got.log10
+
+class TestNormalisedFactor:
+    """The paper's factor divided by the prior mass of "A better", against exact rationals."""
+
+    SURVEY_T_EXACT = (Fraction(18, 100), Fraction(32, 100), Fraction(50, 100))
+
+    def test_matches_exact_oracle_on_sampled_counts(self):
+        stream = lcg_uniforms(23, 36)
+        cases = [tuple(int(u * 11) for u in stream[i : i + 3]) for i in range(0, 36, 3)]
+        cases[:2] = [(0, 0, 5), (5, 0, 0)]
+        for counts_a, counts_b in zip(cases[::2], cases[1::2]):
+            data = OutcomeCounts(counts_a, counts_b)
+            for scheme in SCHEMES:
+                want = normalised_factor_oracle(counts_a, counts_b, self.SURVEY_T_EXACT, scheme, 0.25)
+                got = normalised_bayes_factor(data, SURVEY_T, scheme, 0.25)
+                assert float(got) == pytest.approx(float(want), rel=1e-9, abs=1e-300)
+                assert got.log10 == pytest.approx(_log10_exact(want), abs=1e-9)
+
+    @pytest.mark.parametrize("step", [0.5, 0.25])
+    @pytest.mark.parametrize("counts_a,counts_b", [((3, 5), (4, 2)), ((0, 6), (6, 0)), ((1, 1), (0, 0))])
+    def test_two_category_grid_matches_oracle(self, step, counts_a, counts_b):
+        base = OutcomeDistribution((0.4, 0.6))
+        data = OutcomeCounts(counts_a, counts_b)
+        for scheme in SCHEMES:
+            want = normalised_factor_oracle(
+                counts_a, counts_b, (Fraction(4, 10), Fraction(6, 10)), scheme, step)
+            assert normalised_bayes_factor(data, base, scheme, step) == pytest.approx(
+                float(want), rel=1e-9)
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.05, 0.01])
+    def test_empty_data_give_exactly_one(self, step):
+        empty = OutcomeCounts((0, 0, 0), (0, 0, 0))
+        for baseline in (*BUNDLED_BASELINES.values(), SURVEY_A):
+            for scheme in SCHEMES:
+                got = normalised_bayes_factor(empty, baseline, scheme, step)
+                assert got == 1.0 and got.log10 == 0.0
+
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_top_against_bottom_favours_a_better(self, step):
+        # all of A's projects in the top category, all of B's in the bottom one:
+        # the paper's factor stays below 1, the normalised one exceeds it
+        data = OutcomeCounts((0, 0, 50), (50, 0, 0))
+        for name, baseline in BUNDLED_BASELINES.items():
+            for scheme in SCHEMES:
+                assert bayes_factor(data, baseline, scheme, step) < 1.0
+                got = normalised_bayes_factor(data, baseline, scheme, step)
+                assert got > 1.0, (name, scheme, float(got))
+                assert jeffreys_label(got) != "negative"
+
+    def test_log10_stays_finite_where_the_factor_underflows(self):
+        # A's projects all at the bottom, B's all at the top: far below the float range
+        counts_a, counts_b = (3000, 0, 0), (0, 0, 3000)
+        data = OutcomeCounts(counts_a, counts_b)
+        for scheme in SCHEMES:
+            got = normalised_bayes_factor(data, SURVEY_T, scheme, 0.25)
+            want = normalised_factor_oracle(counts_a, counts_b, self.SURVEY_T_EXACT, scheme, 0.25)
+            assert got == 0.0 and math.isfinite(got.log10) and got.log10 < -330
+            assert got.log10 == pytest.approx(_log10_exact(want), abs=1e-9)
+
+    def test_zero_where_nothing_weighted_is_better(self):
+        # no grid distribution's mean exceeds the top category's
+        top = OutcomeDistribution((0.0, 0.0, 1.0))
+        for scheme in SCHEMES:
+            got = normalised_bayes_factor(OutcomeCounts((1, 2, 3), (3, 2, 1)), top, scheme, 0.25)
+            assert got == 0.0 and got.log10 == -math.inf
+            assert normalised_factor_oracle((1, 2, 3), (3, 2, 1), (0, 0, 1), scheme, 0.25) == 0
+
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
+                        min_size=2, max_size=2),
+        scheme=st.sampled_from(SCHEMES),
+        name=st.sampled_from(sorted(BUNDLED_BASELINES)),
+    )
+    def test_ratio_to_the_paper_factor_is_one_over_the_prior_mass(self, counts, scheme, name):
+        # the correction depends on the baseline, scheme and grid only, never on the data
+        baseline = BUNDLED_BASELINES[name]
+        data = OutcomeCounts(*counts)
+        empty = OutcomeCounts((0, 0, 0), (0, 0, 0))
+        prior_log10 = bayes_factor(empty, baseline, scheme, 0.05).log10
+        paper = bayes_factor(data, baseline, scheme, 0.05)
+        got = normalised_bayes_factor(data, baseline, scheme, 0.05)
+        assert prior_log10 < 0
+        assert got.log10 == pytest.approx(paper.log10 - prior_log10, abs=1e-12)
+
 
 class TestJeffreysLabel:
     @pytest.mark.parametrize(

@@ -482,6 +482,23 @@ class TestOneRepresentation:
             assert repr(back) == repr(want) and back.probs.tobytes() == want.probs.tobytes()
             assert np.array_equal(back.points, got.points) and back.points.dtype == got.points.dtype
 
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_read_only_through_pickle(self, protocol):
+        joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.arange(1.0, 7.0).reshape(3, 2))
+        array_route = (Pmf(np.linspace(0.0, 1.0, 5), np.ones(5)), joint.marginal_x())
+        for pmf in (*array_route, Pmf({2: 1.0, 0: 3.0})):
+            back = pickle.loads(pickle.dumps(pmf, protocol))
+            assert repr(back) == repr(pmf) and back.probs.tobytes() == pmf.probs.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                back.probs[0] = 1.0
+            if pmf in array_route:  # the dict route's `points` is a new array each time
+                assert not back.points.flags.writeable
+        back = pickle.loads(pickle.dumps(joint, protocol))
+        for got, want in ((back.probs, joint.probs), (back.x_grid, joint.x_grid),
+                          (back.y_grid, joint.y_grid)):
+            assert not got.flags.writeable and got.tobytes() == want.tobytes()
+        assert back.map_point() == joint.map_point()
+
     def test_frozen_float_array_is_kept_without_a_copy(self):
         grid = self.frozen(np.linspace(0.0, 1.0, 5))
         assert Pmf(grid, np.ones(5)).points is grid
