@@ -198,6 +198,8 @@ def _bandwidth(text: str):
 
 def _names(text: str) -> tuple[str, ...]:
     names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise InvalidValue(f"no name in {text!r}")
     if len(set(names)) < len(names):
         raise InvalidValue(f"repeated name in {text!r}")
     return names
@@ -499,6 +501,26 @@ def _fit_joint(bug_rows, prior, grid=None):
     return defects.fit_weibull_posterior(counts, prior, grid)
 
 
+#: mass in the first or last cell of a Weibull marginal above which the fit is cut off
+_EDGE_MASS = 1e-3
+
+
+def _edge_warnings(joint, remedy="fit-defects --{axis}-range fits on a wider grid") -> list[str]:
+    """A warning per end of the alpha or beta grid whose marginal cell holds more
+    than `_EDGE_MASS`; `remedy` names the flag that widens the axis."""
+    warnings = []
+    for axis, grid, mass in (("alpha", joint.x_grid, joint.probs.sum(axis=1)),
+                             ("beta", joint.y_grid, joint.probs.sum(axis=0))):
+        for end, i in (("first", 0), ("last", -1)):
+            if grid.size > 1 and mass[i] > _EDGE_MASS:
+                warnings.append(
+                    f"Weibull {axis} posterior holds {float(mass[i]):.3g} in its {end} grid cell "
+                    f"({axis} = {float(grid[i]):g}): the fit is cut off at the grid's edge; "
+                    + remedy.format(axis=axis)
+                )
+    return warnings
+
+
 def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
     joint = _fit_joint(_load_bugs(cfg), cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
     marg_a = joint.marginal_x()
@@ -553,17 +575,20 @@ def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
         out_dir / "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
         "P[X <= x]",
     )
-    return fit, []
+    return fit, _edge_warnings(joint, "widen --{axis}-range")
 
 
 def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tuple[dict, list]:
     bugs = _load_bugs(cfg)
     if (cfg.alpha is None) != (cfg.beta is None):
         raise InvalidValue("--alpha and --beta must be given together")
+    warnings = []
     if cfg.alpha is not None:
         params = defects.WeibullParams(cfg.alpha, cfg.beta)
     else:
-        params = defects.WeibullParams(*_fit_joint(bugs, cfg.prior).map_point())
+        joint = _fit_joint(bugs, cfg.prior)
+        params = defects.WeibullParams(*joint.map_point())
+        warnings = _edge_warnings(joint)
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
@@ -594,7 +619,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tupl
             for e in estimates
         ],
     }
-    return results, []
+    return results, warnings
 
 
 def run_derived_plots(cfg: DerivedPlotsConfig, out_dir: Path) -> tuple[dict, list]:
@@ -610,7 +635,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig, out_dir: Path) -> tuple[dict, lis
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
     _write_json(out_dir / f"at_most_{cfg.at_most}.json", payload)
-    return {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}, []
+    return {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}, _edge_warnings(joint)
 
 
 # -- command line ------------------------------------------------------------

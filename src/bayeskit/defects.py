@@ -314,8 +314,7 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     log_prior = _log_scaled_priors(params, s_pts, n_max)
     if not np.isfinite(log_prior).any(axis=1).all():
         raise ValueError(f"n_max={n_max} leaves the Weibull prior no mass on totals 0..{n_max}")
-    logw = log_binom[:, None, :] + log_prior[None, :, :]
-    cells = _shift_exp(logw, axis=2, fresh=True)
+    cells = _shift_exp(log_binom[:, None, :] + log_prior[None, :, :], axis=2)
     cells /= cells.sum(axis=2, keepdims=True)
     total = (np.exp(log_binom)[:, None, :] * cells).sum(axis=2)
     with np.errstate(divide="ignore"):

@@ -4,6 +4,11 @@ Densities are discretized onto evenly spaced grids and normalized so the
 Riemann sum (density times spacing) is 1.  The one domain-specific twist is
 `exclude_interval`, which zeroes an interval of impossible values and
 renormalizes the remainder.
+
+The Gaussian kernel lives here only: `gaussian_mixture_density` sums its
+terms and `_log_kernel_sums` takes the log of those sums, in log form where
+they underflow; both build each term's exponent with `_exponents`.
+`DensityGrid`, like the constructors of `pmf`, copies its inputs once.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import threading
 import numpy as np
 
 from .errors import EmptySamples, EverythingExcluded, InvalidGrid, InvalidValue
-from .pmf import Pmf, _check_steps, _is_axis
+from .pmf import Pmf, _check_steps, _is_axis, _logsumexp
 
 AUTO = "auto"
 
@@ -41,8 +46,8 @@ class DensityGrid:
     __slots__ = ("_grid", "_density")
 
     def __init__(self, grid, density):
-        g = np.asarray(grid, dtype=float)
-        d = np.asarray(density, dtype=float)
+        g = np.array(grid, dtype=float)
+        d = np.array(density, dtype=float)
         if g.size < 2 or not _is_axis(g):
             raise InvalidGrid("grid must be 1-D, finite and strictly increasing, with at least two points")
         steps = np.diff(g)
@@ -55,7 +60,7 @@ class DensityGrid:
         if total <= 0.0:
             raise InvalidGrid("density holds no mass on this grid")
         with np.errstate(over="ignore"):
-            d = d / total
+            d /= total
         if not np.isfinite(d).all():
             raise InvalidGrid(f"grid spacing {float(steps[0])!r} is too small to normalise this density")
         for arr in (g, d):
@@ -134,6 +139,21 @@ def _block_rows(n_samples: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(n_samples, 1))
 
 
+def _exponents(x, s, bandwidth, out) -> np.ndarray:
+    """The kernel terms' logs ``-0.5 * (z * z)``, ``z = (x - s) / bandwidth``, into `out`.
+
+    `out` holds one row per point of `x` and one column per sample of `s`.
+    The caller sets `np.errstate`: where ``x - s``, ``z`` or ``z * z``
+    overflows, the log is -inf, the term's ``exp`` 0.0.
+    """
+    np.copyto(out, x[:, None])  # a contiguous subtract beats the outer one
+    np.subtract(out, s, out=out)
+    np.divide(out, bandwidth, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, -0.5, out=out)
+    return out
+
+
 def _mixture_rows(x, s, bandwidth, out) -> None:
     """Kernel sums for the points `x` into `out`, one block of rows at a time.
 
@@ -150,12 +170,7 @@ def _mixture_rows(x, s, bandwidth, out) -> None:
     with np.errstate(over="ignore"):  # per thread: each span sets its own
         for start in range(0, x.size, rows):
             n = min(rows, x.size - start)
-            zb = block[:n]
-            np.copyto(zb, x[start:start + n, None])  # a contiguous subtract beats the outer one
-            np.subtract(zb, s, out=zb)
-            np.divide(zb, bandwidth, out=zb)
-            np.multiply(zb, zb, out=zb)
-            np.multiply(zb, -0.5, out=zb)
+            zb = _exponents(x[start:start + n], s, bandwidth, block[:n])
             np.exp(zb, out=zb)
             zb.sum(axis=1, out=out[start:start + n])
 
@@ -190,6 +205,32 @@ def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
     return out
 
 
+def _log_kernel_sums(sums, points, samples, bandwidth) -> np.ndarray:
+    """The logs of `sums` in place, also where those kernel sums underflow.
+
+    `sums` is what `gaussian_mixture_density(points, samples, bandwidth)` returned.
+
+    A sum of at least the smallest normal float keeps the bits of its `log`.
+    One that came out 0.0 or subnormal, at a point tens of bandwidths from
+    every sample, is recomputed from its terms' logs q as
+    max q + log sum exp(q - max q), a block of points at a time; it is -inf
+    only where every z * z overflows.  Returns `sums`.
+    """
+    x = np.asarray(points, dtype=float).reshape(-1)
+    s = np.asarray(samples, dtype=float)
+    flat = sums.reshape(-1)
+    low = np.flatnonzero(flat < np.finfo(float).tiny)
+    with np.errstate(divide="ignore"):
+        np.log(sums, out=sums)
+    rows = _block_rows(s.size)
+    block = np.empty((min(rows, low.size), s.size))
+    with np.errstate(over="ignore"):
+        for start in range(0, low.size, rows):
+            at = low[start:start + rows]
+            flat[at] = _logsumexp(_exponents(x[at], s, bandwidth, block[:at.size]), axis=1)
+    return sums
+
+
 def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     """Gaussian-kernel density estimate of `samples` on a uniform grid.
 
@@ -213,7 +254,7 @@ def kde(samples, bandwidth=AUTO, grid_spec=None) -> DensityGrid:
     steps = _check_steps("kde", lo, hi, n_points, InvalidGrid)
     if not float(hi) - float(lo) < np.inf:  # then the step (span / (steps - 1)) is finite too
         raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) spans more than the largest float")
-    grid = np.linspace(lo, hi, steps).copy()  # owning its data, so a pmf over it need not copy it
+    grid = np.linspace(lo, hi, steps)
     if not (np.diff(grid) > 0).all():  # neighbouring points rounded to the same float
         raise InvalidGrid(f"kde range ({lo!r}, {hi!r}) is too narrow for {steps} distinct points")
     if grid[1] - grid[0] < np.finfo(float).tiny:  # a density over it would overflow to inf

@@ -11,6 +11,10 @@ posterior) are normalized as given, with no dict and no sort; any other input
 is accumulated in a dict and sorted.  An ndarray support's points are the
 Python numbers that ``tolist`` gives; the array route keeps such a support as
 an array only, and builds the tuple of `Pmf.support` on first access.
+
+Every constructor here copies its array inputs once and then works in place
+on those copies, which it makes read-only: no instance shares an array with
+its caller, so none needs to know who else holds one.
 """
 
 from __future__ import annotations
@@ -24,21 +28,18 @@ import numpy as np
 from .errors import AllZeroMass, InvalidMass, NonNumericSupport
 
 
-def _shift_exp(log_weights, axis=None, *, fresh=False) -> np.ndarray:
+def _shift_exp(log_weights, axis=None) -> np.ndarray:
     """Weights exp(logw - max), so the largest is 1; shift-by-max keeps exp from underflowing.
 
     With `axis` each slice along that axis is shifted by its own maximum.
-    With `fresh` the weights overwrite `log_weights`, a float array no one else
-    holds, instead of filling two new arrays; the bits are the same.
+    The weights fill one new array; `log_weights` is left as it was.
     """
-    logw = np.asarray(log_weights, dtype=float)
+    logw = np.array(log_weights, dtype=float)
     top = logw.max(axis=axis, keepdims=True) if logw.size else -np.inf
     if not np.all(top < np.inf):  # a slice's max is NaN or +inf where the slice holds one
         raise ValueError("a log-weight is NaN or +inf")
     if not np.isfinite(top).all():
         raise AllZeroMass("all log-weights are -inf: data impossible under every hypothesis")
-    if not fresh:
-        return np.exp(logw - top)
     logw -= top
     return np.exp(logw, out=logw)
 
@@ -84,30 +85,6 @@ def _array_weights(support, weights):
     return w if ok else None
 
 
-def _is_frozen(a) -> bool:
-    """Whether no array can write the data of the ndarray `a`: it, and every array
-    it views down to the one owning the data, is read-only."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
-def _kept_points(support: np.ndarray) -> np.ndarray:
-    """An array-route ndarray support as a read-only array whose `tolist` gives its points.
-
-    Floats are kept as float64 and integers in their own dtype; an array that
-    already is so and that nothing can write is kept without a copy.
-    """
-    dtype = np.dtype(float) if support.dtype.kind == "f" else support.dtype
-    if support.dtype == dtype and _is_frozen(support):
-        return support
-    points = support.astype(dtype)
-    points.flags.writeable = False
-    return points
-
-
 def _set_frozen_state(obj, state) -> None:
     """`__setstate__` for the slotted classes here: unpickled arrays come back
     writeable, so they are made read-only again."""
@@ -134,7 +111,7 @@ class Pmf:
     pairs, or separate ``support``/``weights`` sequences.  Weights must be
     nonnegative with a positive total; they are normalized on construction,
     so relative proportions are all that matters.  On the array route an
-    ndarray support is kept only as a read-only array (`points`); the
+    ndarray support is kept only as a read-only copy (`points`); the
     `support` tuple is built from it on first access.
     """
 
@@ -163,7 +140,9 @@ class Pmf:
             self._support = tuple(sorted(acc))
             probs = np.array([acc[p] for p in self._support], dtype=float)
         elif isinstance(support, np.ndarray):
-            self._points = _kept_points(support)
+            # floats as float64 and integers in their own dtype, so `tolist` gives the points
+            self._points = support.astype(float if support.dtype.kind == "f" else support.dtype)
+            self._points.flags.writeable = False
         else:
             self._support = tuple(support)
         total = probs.sum()
@@ -190,9 +169,9 @@ class Pmf:
     def points(self) -> np.ndarray:
         """The support as a numeric array, without building the `support` tuple.
 
-        On the array route with an ndarray support this is the kept read-only
-        array; otherwise it is a new float array.  `NonNumericSupport` where a
-        point is not a number.
+        On the array route with an ndarray support this is the read-only copy
+        of that support made at construction; otherwise it is a new float
+        array.  `NonNumericSupport` where a point is not a number.
         """
         if self._points is not None:
             return self._points
@@ -259,7 +238,7 @@ def iterate_update(prior: Pmf, data: Iterable, likelihood: Callable[[Any, Any], 
     independent of the order of the data.
     """
     with np.errstate(divide="ignore"):
-        logw = np.log(prior.probs).copy()
+        logw = np.log(prior.probs)
         for datum in data:
             lik = np.array([float(likelihood(datum, h)) for h in prior.support], dtype=float)
             if not ((lik >= 0) & (lik < np.inf)).all():  # NaN fails both comparisons
@@ -289,13 +268,13 @@ class JointPmf2D:
     __setstate__ = _set_frozen_state
 
     def __init__(self, x_grid, y_grid, weights):
-        self._build(x_grid, y_grid, np.asarray(weights, dtype=float), fresh=False)
+        self._build(x_grid, y_grid, np.array(weights, dtype=float))
 
-    def _build(self, x_grid, y_grid, w: np.ndarray, fresh: bool) -> None:
-        """Check and normalise; with `fresh` the float array `w`, which no one else
-        holds, is normalised in place and becomes `probs`."""
-        x = np.asarray(x_grid, dtype=float)
-        y = np.asarray(y_grid, dtype=float)
+    def _build(self, x_grid, y_grid, w: np.ndarray) -> None:
+        """Check the grids and the float weights `w`, a new array that is
+        normalised in place and becomes `probs`; the grids are copied."""
+        x = np.array(x_grid, dtype=float)
+        y = np.array(y_grid, dtype=float)
         if not (_is_axis(x) and _is_axis(y)):
             raise ValueError("grid axes must be 1-D, finite and strictly increasing")
         if w.shape != (x.size, y.size):
@@ -305,19 +284,18 @@ class JointPmf2D:
         total = w.sum()
         if total <= 0.0:
             raise AllZeroMass("all joint weights are zero")
-        probs = np.divide(w, total, out=w if fresh else None)
-        for arr in (x, y, probs):
+        w /= total
+        for arr in (x, y, w):
             arr.flags.writeable = False
         self._x_grid = x
         self._y_grid = y
-        self._probs = probs
+        self._probs = w
 
     @classmethod
     def from_log_weights(cls, x_grid, y_grid, log_weights: np.ndarray) -> "JointPmf2D":
-        """Normalize log-domain weights (shift-by-max); one copy of them becomes `probs`."""
-        weights = _shift_exp(np.array(log_weights, dtype=float), fresh=True)
+        """Normalize log-domain weights (shift-by-max); their one copy becomes `probs`."""
         joint = cls.__new__(cls)
-        joint._build(x_grid, y_grid, weights, fresh=True)
+        joint._build(x_grid, y_grid, _shift_exp(log_weights))
         return joint
 
     @property

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .density import (
     AUTO,
-    _block_rows,
+    _log_kernel_sums,
     exclude_interval,
     gaussian_mixture_density,
     kde,
@@ -146,34 +146,6 @@ def ratio_grid(values, bandwidth: float, n_points: int = RATIO_GRID_POINTS):
     return (-span, span, n_points)
 
 
-def _log_kernel_sums(points, deltas, bandwidth) -> np.ndarray:
-    """log `gaussian_mixture_density`, also where the kernel sums underflow.
-
-    A sum of at least the smallest normal float keeps the bits of its `log`.
-    One that comes out 0.0 or subnormal, at a point tens of bandwidths from
-    every delta, is recomputed from its terms' logs q = -0.5 * (z * z) as
-    max q + log sum exp(q - max q), a block of points at a time; it is -inf
-    only where every z * z overflows.
-    """
-    x = np.asarray(points, dtype=float)
-    s = np.asarray(deltas, dtype=float)
-    out = gaussian_mixture_density(x, s, bandwidth)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    low = np.flatnonzero(flat_out < np.finfo(float).tiny)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    rows = _block_rows(s.size)
-    with np.errstate(over="ignore"):
-        for start in range(0, low.size, rows):
-            at = low[start:start + rows]
-            q = np.subtract(flat_x[at, None], s)
-            np.divide(q, bandwidth, out=q)
-            np.multiply(q, q, out=q)
-            np.multiply(q, -0.5, out=q)
-            flat_out[at] = _logsumexp(q, axis=1)
-    return out
-
-
 #: a column whose log-posterior bound lies this far below a reached log posterior has
 #: mass exactly 0.0: the shift-by-max exp underflows below -745.14; the rest spares rounding
 _ZERO_MASS_MARGIN = 760.0
@@ -201,7 +173,9 @@ def _can_hold_mass(log_prior, support, data, deltas, bandwidth) -> np.ndarray:
             bound -= gap
     best = int(np.argmax(bound))
     reached = log_prior[best]
-    for log_lik in _log_kernel_sums(data - support[best], deltas, bandwidth):
+    at_best = data - support[best]
+    sums = gaussian_mixture_density(at_best, deltas, bandwidth)
+    for log_lik in _log_kernel_sums(sums, at_best, deltas, bandwidth):
         reached += log_lik
     # rounding in the bound and in L grows with their size: 32 ulps of L per datum
     return bound >= reached - _ZERO_MASS_MARGIN - abs(reached) * data.size * 2.0**-48
@@ -234,9 +208,9 @@ def speedup_posterior(
     the last place of L per datum for the far data below), where the
     shift-by-max `exp` gives exactly 0.0; it is skipped with log posterior
     -inf, and the output bytes are those of evaluating every column.  When L
-    is -inf nothing is skipped.  The log kernel sums come from
-    `_log_kernel_sums`, so data tens of delta bandwidths from every column
-    still have a finite likelihood instead of raising `AllZeroMass`.
+    is -inf nothing is skipped.  Kernel sums that underflow are taken in log
+    form (`density._log_kernel_sums`), so data tens of delta bandwidths from
+    every column still have a finite likelihood instead of raising `AllZeroMass`.
     """
     primary = [float(v) for v in primary]
     calib = [float(v) for v in calib]
@@ -270,8 +244,10 @@ def speedup_posterior(
     data = np.array(primary)
     keep = _can_hold_mass(log_post, support, data, deltas, bw_delta)
     cols, support, log_post = cols[keep], support[keep], log_post[keep]
-    log_liks = _log_kernel_sums(data[:, None] - support, deltas, bw_delta)
-    for log_lik in log_liks:  # row by row in data order, so the rounding matches iterate_update's
+    diffs = data[:, None] - support
+    sums = gaussian_mixture_density(diffs, deltas, bw_delta)
+    # row by row in data order, so the rounding matches iterate_update's
+    for log_lik in _log_kernel_sums(sums, diffs, deltas, bw_delta):
         log_post += log_lik
     log_weights = np.full(prior.shape, -np.inf)
     log_weights[cols] = log_post

@@ -512,6 +512,36 @@ class TestRepeatedNames:
         assert not out.exists()
 
 
+class TestEmptyNames:
+    """A list option that holds no name fails naming the flag, from a flag or from a config."""
+
+    @pytest.mark.parametrize("option, text", [
+        ("--scheme", ","), ("--scheme", ""), ("--baseline-set", " , "), ("--baseline-set", ",,"),
+    ])
+    def test_empty_flag_list_fails_before_writing(self, tmp_path, capsys, option, text):
+        out = tmp_path / "out"
+        code = run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--out", out, option, text]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {option}: no name in {text!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, flag", [("schemes", "--scheme"), ("baseline_set", "--baseline-set")])
+    def test_empty_config_list_fails(self, tmp_path, capsys, key, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": str(DATA / "project_outcomes.csv"),
+            "baselines": str(DATA / "outcome_baselines.csv"),
+            key: [],
+        }))
+        out = tmp_path / "out"
+        assert run(["compare-outcomes", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {flag}: no name in ''\n"
+        assert not out.exists()
+
+
 class TestComparePerformance:
     def test_demo_pairs_and_graph(self, tmp_path):
         code = run(
@@ -691,6 +721,58 @@ class TestDefectCommands:
         payload = json.loads((tmp_path / "at_most_3.json").read_text())
         assert payload["at_most"] == 3
         assert (tmp_path / "at_most_3.svg").exists()
+
+
+class TestGridEdgeWarnings:
+    """A Weibull fit with more than 1e-3 of a marginal in an end cell of its grid is reported."""
+
+    COMMANDS = [
+        ("fit-defects", "widen --{axis}-range"),
+        ("derived-plots", "fit-defects --{axis}-range fits on a wider grid"),
+        ("estimate-total-bugs", "fit-defects --{axis}-range fits on a wider grid"),
+    ]
+
+    @staticmethod
+    def bugs_csv(path, counts):
+        rows = [f"c{i},{c},{c},10,100" for i, c in enumerate(counts)]
+        path.write_text("\n".join(["class_id,found_simple,found_strong,public_methods,loc", *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("counts, edges", [
+        # the MAP sits at the top of the default alpha grid, alpha = 40
+        ([200, 150, 300], [("alpha", "last", "0.0265", "40"), ("beta", "first", "0.00553", "0.1")]),
+        ([0] * 30, [("beta", "last", "0.0924", "3")]),
+    ], ids=["large-counts", "zero-counts"])
+    @pytest.mark.parametrize("command, remedy", COMMANDS, ids=[c for c, _ in COMMANDS])
+    def test_fit_at_the_grid_edge_warns(self, tmp_path, command, remedy, counts, edges):
+        data = self.bugs_csv(tmp_path / "bugs.csv", counts)
+        out = tmp_path / "out"
+        assert run([command, "--data", data, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == [
+            f"Weibull {axis} posterior holds {mass} in its {end} grid cell ({axis} = {value}): "
+            f"the fit is cut off at the grid's edge; " + remedy.format(axis=axis)
+            for axis, end, mass, value in edges
+        ]
+
+    def test_fixed_parameters_fit_nothing_and_do_not_warn(self, tmp_path):
+        data = self.bugs_csv(tmp_path / "bugs.csv", [200, 150, 300])
+        args = ["estimate-total-bugs", "--data", data, "--out", tmp_path, "--alpha", "40", "--beta", "2"]
+        assert run(args) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
+
+    def test_one_point_axes_do_not_warn(self, tmp_path):
+        # a one-point axis holds all its mass in its only cell: it is fixed, not cut off
+        data = self.bugs_csv(tmp_path / "bugs.csv", [200, 150, 300])
+        args = ["fit-defects", "--data", data, "--out", tmp_path, "--grid", "1x1",
+                "--alpha-range", "40,40", "--beta-range", "0.1,0.1"]
+        assert run(args) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
+
+    @pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
+    def test_bundled_fit_does_not_warn(self, tmp_path, command):
+        assert run([command, "--data", DATA / "demo_bugs.csv", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
 
 
 class TestConfigAndErrors:

@@ -237,6 +237,20 @@ class TestDensityGrid:
                 DensityGrid(grid, density)
 
 
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_inputs_are_copied_once(self, read_only):
+        grid, dens = np.linspace(0.0, 1.0, 5), np.array([1.0, 2.0, 0.0, 3.0, 2.0])
+        for arr in (grid, dens):
+            arr.flags.writeable = not read_only
+        saved = [(a.tobytes(), a.flags.writeable) for a in (grid, dens)]
+        d = DensityGrid(grid, dens)
+        assert [(a.tobytes(), a.flags.writeable) for a in (grid, dens)] == saved
+        assert d.density.tobytes() == (dens / (dens.sum() * d.spacing)).tobytes()
+        for arr in (d.grid, d.density):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, grid) and not np.shares_memory(arr, dens)
+
+
 class TestExcludeInterval:
     def test_uniform_split_renormalizes(self):
         grid = np.linspace(-2, 2, 401)

@@ -24,6 +24,7 @@ from bayeskit.pmf import (
     Pmf,
     _check_steps,
     _logsumexp,
+    _shift_exp,
     iterate_update,
     mixture,
     update,
@@ -437,7 +438,7 @@ class TestIncreasingFastPath:
 
 
 class TestOneRepresentation:
-    """An ndarray support is kept as one read-only array; everything reads as on the dict route."""
+    """An ndarray support is kept as one read-only copy; everything reads as on the dict route."""
 
     QS = (0.0, 1e-9, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-12, 1.0, 1.5)
 
@@ -499,28 +500,41 @@ class TestOneRepresentation:
             assert not got.flags.writeable and got.tobytes() == want.tobytes()
         assert back.map_point() == joint.map_point()
 
-    def test_frozen_float_array_is_kept_without_a_copy(self):
-        grid = self.frozen(np.linspace(0.0, 1.0, 5))
-        assert Pmf(grid, np.ones(5)).points is grid
-        d = kde([0.2, 0.6], 0.1, (0.0, 1.0, 65))
-        assert to_pmf(d).points is d.grid
+    def held_grid(self, kind):
+        """A read-only grid that nothing else can write, and a pmf over it."""
+        if kind == "frozen grid":
+            grid = self.frozen(np.linspace(0.0, 1.0, 5))
+            return grid, Pmf(grid, np.ones(5))
+        if kind == "kde grid":
+            d = kde([0.2, 0.6], 0.1, (0.0, 1.0, 65))
+            return d.grid, to_pmf(d)
         joint = JointPmf2D([0.5, 1.0, 4.0], [-0.0, 2.0], np.ones((3, 2)))
-        assert joint.marginal_x().points is joint.x_grid and joint.marginal_y().points is joint.y_grid
+        if kind == "joint x grid":
+            return joint.x_grid, joint.marginal_x()
+        return joint.y_grid, joint.marginal_y()
 
     @pytest.mark.parametrize("arr, read_only_view", [
         (np.arange(5.0), False),
         (np.arange(10.0)[::2], True),  # read-only, but its writeable base can still change it
         (np.arange(5), False),  # integers stay integers
         (np.arange(5.0, dtype=np.float32), False),
+        # frozen arrays, the grids of kde and of a joint included, are copied all the same
+        *(pytest.param(kind, False, id=kind.replace(" ", "-"))
+          for kind in ("frozen grid", "kde grid", "joint x grid", "joint y grid")),
     ])
     def test_other_arrays_are_copied_read_only(self, arr, read_only_view):
-        arr = arr.copy() if not read_only_view else np.arange(10.0)[::2]
-        arr.flags.writeable = not read_only_view
-        pmf = Pmf(arr, np.ones(5))
+        if isinstance(arr, str):
+            arr, pmf = self.held_grid(arr)
+        else:
+            arr = arr.copy() if not read_only_view else np.arange(10.0)[::2]
+            arr.flags.writeable = not read_only_view
+            pmf = Pmf(arr, np.ones(5))
         before = pmf.support
-        assert pmf.points is not arr and not pmf.points.flags.writeable
+        assert not np.shares_memory(pmf.points, arr) and not pmf.points.flags.writeable
         assert pmf.points.dtype == (arr.dtype if arr.dtype.kind == "i" else np.float64)
-        (arr.base if read_only_view else arr)[:] = 9
+        assert pmf.points.tolist() == arr.tolist()
+        if arr.flags.writeable or read_only_view:
+            (arr.base if read_only_view else arr)[:] = 9
         assert pmf.support == before and pmf.points.tolist() == list(before)
 
     def test_support_tuple_is_built_once_on_first_access(self):
@@ -542,6 +556,31 @@ class TestOneRepresentation:
         assert Pmf(range(3), [1, 1, 1]).points.dtype == np.float64
         with pytest.raises(NonNumericSupport, match="'a'"):
             Pmf({"a": 1.0}).points
+
+
+class TestCallerArraysUntouched:
+    """Constructors copy their array inputs once: a caller's array keeps its bits and flags."""
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_inputs_keep_their_bits_and_flags(self, read_only):
+        rng = np.random.default_rng(3)
+        given = {"x": np.array([0.5, 1.0, 4.0]), "y": np.array([-0.0, 2.0]),
+                 "w": rng.random((3, 2)), "logw": np.log(rng.random((3, 2))) - 700.0}
+        for arr in given.values():
+            arr.flags.writeable = not read_only
+        saved = {k: (v.tobytes(), v.flags.writeable) for k, v in given.items()}
+        weights = _shift_exp(given["logw"])
+        rows = _shift_exp(given["logw"], axis=1)
+        joint = JointPmf2D(given["x"], given["y"], given["w"])
+        from_logs = JointPmf2D.from_log_weights(given["x"], given["y"], given["logw"])
+        assert {k: (v.tobytes(), v.flags.writeable) for k, v in given.items()} == saved
+        assert weights.max() == 1.0 and (rows.max(axis=1) == 1.0).all()
+        assert not np.shares_memory(weights, given["logw"])
+        for got, w in ((joint, given["w"]), (from_logs, weights)):
+            assert got.probs.tobytes() == (w / w.sum()).tobytes()
+            for arr in (got.x_grid, got.y_grid, got.probs):
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, v) for v in (*given.values(), weights))
 
 
 class TestNonFiniteInputs:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bayeskit import speedup
-from bayeskit.density import exclude_interval, kde, scott_bandwidth, to_pmf
+from bayeskit import density, speedup
+from bayeskit.density import exclude_interval, gaussian_mixture_density, kde, scott_bandwidth, to_pmf
 from bayeskit.errors import (
     AllZeroMass,
     DuplicateKey,
@@ -562,7 +562,8 @@ class TestFarData:
     def test_log_sums_keep_bits_unless_they_underflow(self):
         deltas = np.linspace(-0.3, 0.3, 13)
         points = np.array([[0.0, 1.0, -2.5, 7.0], [7.9, 8.5, -30.0, 5e3]])  # 7.9: subnormal
-        got = speedup._log_kernel_sums(points, deltas, 0.2)
+        got = density._log_kernel_sums(
+            gaussian_mixture_density(points, deltas, 0.2), points, deltas, 0.2)
         sums = gaussian_mixture_oracle(points.ravel(), deltas, 0.2).reshape(points.shape)
         low = sums < np.finfo(float).tiny
         assert low.any() and (sums[low] == 0).any() and (sums[low] > 0).any()
@@ -573,12 +574,13 @@ class TestFarData:
 
     def test_log_sums_in_blocks_and_overflow(self, monkeypatch):
         # underflowing points beyond one block, and one whose every z * z overflows
-        monkeypatch.setattr(speedup, "_block_rows", lambda n: 3)
+        monkeypatch.setattr(density, "_block_rows", lambda n: 3)
         deltas = [-0.1, 0.0, 0.2]
         points = np.array([50.0, 0.0, -60.0, 70.5, 1e3, 0.1, -2e3, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = speedup._log_kernel_sums(points, deltas, 0.05)
+            sums = gaussian_mixture_density(points, deltas, 0.05)
+            got = density._log_kernel_sums(sums, points, deltas, 0.05)
         want = [log_kernel_sum_oracle(x, deltas, 0.05) for x in points[:-1].tolist()]
         assert np.allclose(got[:-1], want, rtol=1e-14, atol=0)
         assert got[-1] == -np.inf
