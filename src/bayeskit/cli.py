@@ -501,7 +501,8 @@ def _fit_joint(bug_rows, prior, grid=None):
     return defects.fit_weibull_posterior(counts, prior, grid)
 
 
-#: mass in the first or last cell of a Weibull marginal above which the fit is cut off
+#: mass in the first or last cell of a Weibull marginal, or in the last cell of a
+#: total-bug posterior, above which that posterior is cut off at its grid's edge
 _EDGE_MASS = 1e-3
 
 
@@ -592,6 +593,12 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tupl
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
+    for found, (cap, mass) in sorted(estimates.last_cell.items()):
+        if mass > _EDGE_MASS:
+            warnings.append(
+                f"total-bug posterior of the classes with {found} found bugs holds {mass:.3g} "
+                f"in its last cell (total = {cap}): the estimate is cut off at the cap; raise --nmax"
+            )
 
     # classes with the same found count share their median and interval, so
     # those three cells are formatted once per count

@@ -398,16 +398,28 @@ class ClassEstimate(_Record, _ClassEstimateFields):
     __slots__ = ()
 
 
+class ClassEstimates(list):
+    """`ClassEstimate` rows, one per class in input order.
+
+    `last_cell` maps each distinct found count to its cap on total bugs and
+    the posterior mass at that cap; a large mass there means the cap cuts
+    the posterior off.
+    """
+
+    __slots__ = ("last_cell",)
+
+
 def estimate_class_totals(
     classes,
     params: WeibullParams,
     grid: EffectivenessGrid,
     n_max: int | None = None,
     ci_mass: float = 0.9,
-) -> list[ClassEstimate]:
+) -> ClassEstimates:
     """Per-class total-bug summaries from simple-spec detection counts."""
     summaries = {}
-    out = []
+    out = ClassEstimates()
+    out.last_cell = {}
     for rec in classes:
         d = rec.found_simple
         cap = default_n_max(d) if n_max is None else n_max
@@ -415,6 +427,7 @@ def estimate_class_totals(
             post = class_total_bugs(params, d, grid, cap)
             ci = post.credible_interval(ci_mass)
             summaries[d, cap] = float(post.median()), float(ci.low), float(ci.high)
+            out.last_cell[d] = cap, float(post.probs[-1])
         median, low, high = summaries[d, cap]
         per_method = median / rec.public_methods if rec.public_methods else None
         out.append(ClassEstimate(rec.class_id, d, median, low, high, per_method))

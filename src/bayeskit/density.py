@@ -33,10 +33,8 @@ _BLOCK_ELEMENTS = 1 << 16
 
 #: fewest kernel-matrix elements worth a span of their own.  At 4-6 ns per
 #: element, 4 M elements are 17-26 ms of one thread's work.  On a 2-core VM a
-#: second span costs up to 32 % more CPU for a 28-47 % lower wall time (warm
-#: pool, 2^18-2^25 elements), and the pool's first use in a process costs
-#: about 10 ms of wall and 12-24 ms of CPU (imports, thread start).  At this
-#: grain a call splits only when halving it saves at least twice that first use.
+#: second span costs up to 32 % more CPU for a 28-47 % lower wall time
+#: (2^18-2^25 elements); starting and joining its thread costs under 1 ms.
 _SPAN_ELEMENTS = 1 << 22
 
 
@@ -118,22 +116,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: (process id, executor); a forked child inherits the executor but none of its threads
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """This process's thread pool, created on first use with one thread per usable CPU."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor  # not paid for at import
-
-            _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=_usable_cpus()))
-        return _POOL[1]
-
-
 def _block_rows(n_samples: int) -> int:
     """Rows of the point-by-sample kernel matrix evaluated per block."""
     return max(1, _BLOCK_ELEMENTS // max(n_samples, 1))
@@ -182,9 +164,10 @@ def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
     point and in the shape of `points`; callers that need a proper density
     normalize afterwards.  The points are split into contiguous spans of at
     least `_SPAN_ELEMENTS` kernel terms each, at most one per usable CPU and
-    one per point; a call too small for two spans runs on the calling thread
-    and never starts the thread pool, larger ones run their spans on it
-    (numpy releases the GIL).  Each span is evaluated in cache-sized row
+    one per point.  The first span runs on the calling thread, each other on
+    a thread the call starts and joins before it returns (numpy releases the
+    GIL), re-raising any span's exception; so each concurrent caller starts
+    its own threads.  Each span is evaluated in cache-sized row
     blocks; the result is bit-identical to the dense point-by-sample
     evaluation, whatever the number of spans.
     """
@@ -196,13 +179,28 @@ def gaussian_mixture_density(points, samples, bandwidth: float) -> np.ndarray:
     n_spans = max(1, min(_usable_cpus(), n, n * s.size // _SPAN_ELEMENTS))
     spans = [(flat_x[a:b], s, bandwidth, flat_out[a:b])
              for a, b in ((i * n // n_spans, (i + 1) * n // n_spans) for i in range(n_spans))]
-    pending = [_pool().submit(_mixture_rows, *span) for span in spans[1:]]
+    errors = []
+    threads = []
     try:
+        for span in spans[1:]:
+            thread = threading.Thread(target=_span_rows, args=(span, errors))
+            thread.start()
+            threads.append(thread)
         _mixture_rows(*spans[0])
     finally:
-        for future in pending:
-            future.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _span_rows(span, errors) -> None:
+    """`_mixture_rows` on one span's arguments, keeping its exception for the caller."""
+    try:
+        _mixture_rows(*span)
+    except BaseException as exc:  # noqa: BLE001 - re-raised on the calling thread
+        errors.append(exc)
 
 
 def _log_kernel_sums(sums, points, samples, bandwidth) -> np.ndarray:

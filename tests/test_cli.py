@@ -775,6 +775,25 @@ class TestGridEdgeWarnings:
         assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
 
 
+class TestTotalBugCapWarning:
+    """A total-bug posterior with more than 1e-3 of its mass at its cap is reported."""
+
+    @pytest.mark.parametrize("nmax, cut_off", [
+        (30, [(4, "0.00196"), (5, "0.00401"), (12, "0.0526")]),
+        (40, [(12, "0.0117")]),
+        (60, []),  # 6.8e-4 left at the cap for the found-12 class
+    ])
+    def test_cap_that_cuts_off_a_posterior_warns(self, tmp_path, nmax, cut_off):
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--nmax", str(nmax),
+                "--out", tmp_path]
+        assert run(args) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == [
+            f"total-bug posterior of the classes with {found} found bugs holds {mass} in its last "
+            f"cell (total = {nmax}): the estimate is cut off at the cap; raise --nmax"
+            for found, mass in cut_off
+        ]
+
+
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1134,7 +1153,7 @@ def test_jobs_build_no_large_support_tuple(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_thread_pool_out():
-    # the kernel's thread pool is created, and its module imported, on first use only
+    # the kernel starts plain threads; nothing the CLI imports loads concurrent.futures
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -421,6 +421,16 @@ class TestClassTotalBugs:
         assert third.per_method == pytest.approx(third.median / 4)
         assert third.per_method != first.per_method
 
+    @pytest.mark.parametrize("n_max", [None, 12])
+    def test_estimates_carry_each_counts_last_cell(self, n_max):
+        rows = [BugCounts("c1", 2, 5), BugCounts("c2", 9, 11), BugCounts("c3", 2, 7)]
+        grid = EffectivenessGrid((0.2, 0.5), (0.7, 0.95), 2, 2)
+        estimates = estimate_class_totals(rows, P_TYPICAL, grid, n_max=n_max)
+        caps = {d: default_n_max(d) if n_max is None else n_max for d in (2, 9)}
+        assert estimates.last_cell == {
+            d: (cap, float(class_total_bugs(P_TYPICAL, d, grid, cap).probs[-1])) for d, cap in caps.items()
+        }
+
     def test_default_n_max_rule(self):
         assert default_n_max(0) == 100
         assert default_n_max(9) == 100

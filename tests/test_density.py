@@ -4,9 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -323,17 +323,26 @@ def _use_cpus(monkeypatch, workers):
         monkeypatch.setattr(density, "_SPAN_ELEMENTS", 1)
 
 
-class _RecordingPool:
-    """Stands in for the thread pool: runs each span at once and records its point count."""
+class _SpanRecorder:
+    """Wraps `density._mixture_rows`: records each span's address, point count and thread."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.spans = []
+        rows = density._mixture_rows
 
-    def submit(self, fn, x, *args):
-        self.spans.append(x.size)
-        future = Future()
-        future.set_result(fn(x, *args))
-        return future
+        def record(x, *args):
+            self.spans.append((x.ctypes.data, x.size, threading.get_ident()))
+            rows(x, *args)
+
+        monkeypatch.setattr(density, "_mixture_rows", record)
+
+    def sizes(self) -> list:
+        """Point counts of the spans in the order they lie in the points."""
+        return [size for _, size, _ in sorted(self.spans)]
+
+    def threads(self) -> list:
+        """The thread each span ran on, in the same order."""
+        return [ident for *_, ident in sorted(self.spans)]
 
 
 class TestGaussianMixtureKernel:
@@ -380,22 +389,65 @@ class TestGaussianMixtureKernel:
         # one span per _SPAN_ELEMENTS kernel terms, at most one per CPU and one per point
         monkeypatch.setattr(density, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(density, "_SPAN_ELEMENTS", 500)
-        pool = _RecordingPool()
-        monkeypatch.setattr(density, "_pool", lambda: pool)
+        recorder = _SpanRecorder(monkeypatch)
         points, samples = _kernel_inputs(n_points, n_samples)
         got = gaussian_mixture_density(points, samples, 0.37)
-        assert [n_points - sum(pool.spans)] + pool.spans == spans
+        assert recorder.sizes() == spans
+        # the first span runs on the calling thread, every other on a thread of its own
+        caller, *others = recorder.threads()
+        assert caller == threading.get_ident() and caller not in others
         assert np.array_equal(got, gaussian_mixture_oracle(points, samples, 0.37))
 
     def test_demo_sized_calls_stay_on_the_calling_thread(self, monkeypatch):
         # a paper-demo likelihood (about 0.8 M terms), a prior, an anchor, and the largest
         # call that still runs inline: one row short of two grains
         monkeypatch.setattr(density, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(density, "_POOL", None)
+        recorder = _SpanRecorder(monkeypatch)
         largest = 2 * density._SPAN_ELEMENTS // 1024 - 1
-        for shape, n_samples in [((4, 4096), 48), (4096, 6), (5, 48), (largest, 1024)]:
+        calls = [((4, 4096), 48), (4096, 6), (5, 48), (largest, 1024)]
+        for shape, n_samples in calls:
             gaussian_mixture_density(np.zeros(shape), np.linspace(-1.0, 1.0, n_samples), 0.3)
-        assert density._POOL is None
+        assert recorder.threads() == [threading.get_ident()] * len(calls)
+
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_a_span_exception_reaches_the_caller(self, monkeypatch, failing):
+        # a span that raises on either kind of thread: the call raises it once every thread is joined
+        class SpanFailed(Exception):
+            pass
+
+        _use_cpus(monkeypatch, 3)
+        caller = threading.get_ident()
+        rows = density._mixture_rows
+
+        def fail_on_one_kind(x, *args):
+            if (threading.get_ident() == caller) == (failing == "calling"):
+                raise SpanFailed(failing)
+            rows(x, *args)
+
+        monkeypatch.setattr(density, "_mixture_rows", fail_on_one_kind)
+        before = threading.active_count()
+        points, samples = _kernel_inputs(400, 48)
+        with pytest.raises(SpanFailed, match=failing):
+            gaussian_mixture_density(points, samples, 0.37)
+        assert threading.active_count() == before
+
+    def test_fresh_interpreter_keeps_one_thread_after_a_split_call(self):
+        # the spans' threads end with the call, and nothing imports concurrent.futures
+        script = """
+import sys, threading, numpy as np
+from bayeskit import density
+density._usable_cpus = lambda: 3
+density._SPAN_ELEMENTS = 1
+x, s = np.linspace(-3, 3, 300), np.linspace(-1, 1, 100)
+density.gaussian_mixture_density(x, s, 0.3)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True,
+        )
+        assert proc.stdout.split() == ["1", "False"]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("bandwidth", [1.0, 1e-300])
@@ -445,20 +497,27 @@ class TestGaussianMixtureKernel:
         assert np.array_equal(out, gaussian_mixture_oracle(points, samples, 0.5))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_its_own_pool(self):
-        # the child inherits the parent's executor object but none of its threads
+    def test_forked_child_splits_calls_alike(self):
+        # a child forked after a split call starts threads of its own and gets the same bits
         script = """
-import os, signal, numpy as np
+import os, signal, threading, numpy as np
 from bayeskit import density
 density._usable_cpus = lambda: 2
 density._SPAN_ELEMENTS = 1000  # 4000 x 100 elements would otherwise run inline
 x, s = np.linspace(-3, 3, 4000), np.linspace(-1, 1, 100)
 want = density.gaussian_mixture_density(x, s, 0.3)
-assert density._POOL is not None
+assert threading.active_count() == 1
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)  # a hung child dies instead of outliving the test
-    os._exit(0 if np.array_equal(density.gaussian_mixture_density(x, s, 0.3), want) else 1)
+    rows, threads = density._mixture_rows, []
+    def record(*args):
+        threads.append(threading.get_ident())
+        rows(*args)
+    density._mixture_rows = record
+    got = density.gaussian_mixture_density(x, s, 0.3)
+    split = len(threads) == 2 and threading.get_ident() in threads and len(set(threads)) == 2
+    os._exit(0 if split and np.array_equal(got, want) else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
         src = Path(__file__).resolve().parents[1] / "src"
