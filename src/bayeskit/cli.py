@@ -2,7 +2,8 @@
 
 Every subcommand reads CSV inputs, runs one analysis pipeline, and writes
 its tables/graphs/plots plus a `report.json` tying each number to the exact
-parameters and input digests that produced it.  All pipelines are
+parameters and input digests that produced it.  Nothing is written until the
+analysis and its report have both succeeded.  All pipelines are
 deterministic: identical inputs and flags give byte-identical outputs.
 """
 
@@ -75,10 +76,10 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(files: dict, name: str, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    files[name] = "\n".join(lines) + "\n"
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -133,15 +134,15 @@ def _json(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, _json(obj) + "\n")
+def _write_json(files: dict, name: str, obj) -> None:
+    files[name] = _json(obj) + "\n"
 
 
-def _write_chart(path: Path, series, title: str, x_label: str, y_label: str) -> None:
-    _write_text(path, line_chart_svg(series, title, x_label, y_label))
+def _write_chart(files: dict, name: str, series, title: str, x_label: str, y_label: str) -> None:
+    files[name] = line_chart_svg(series, title, x_label, y_label)
 
 
-def _write_report(out_dir: Path, command: str, cfg, results, warnings) -> None:
+def _write_report(files: dict, command: str, cfg, results, warnings) -> None:
     parameters = asdict(cfg)
     parameters.pop("out", None)  # run placement, not analysis configuration
     # every required option is an input CSV
@@ -153,7 +154,7 @@ def _write_report(out_dir: Path, command: str, cfg, results, warnings) -> None:
         "results": results,
         "warnings": warnings,
     }
-    _write_json(out_dir / REPORT_NAME, report)
+    _write_json(files, REPORT_NAME, report)
 
 
 def _safe_name(name: str) -> str:
@@ -349,8 +350,9 @@ class DerivedPlotsConfig(_BugsConfig):
 
 # -- runners -----------------------------------------------------------------
 #
-# A runner computes its analysis, writes its tables and charts under the
-# directory `main` gives it, and returns its report results and warnings.
+# A runner computes its analysis, puts the text of each table and chart into
+# `files` under its file name, and returns its report results and warnings.
+# Only `main` touches the disk: it writes `files` once the report is built.
 
 
 def _factor_fields(prefix: str, factor) -> dict:
@@ -363,7 +365,7 @@ def _factor_fields(prefix: str, factor) -> dict:
     }
 
 
-def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dict, list]:
+def run_compare_outcomes(cfg: CompareOutcomesConfig, files: dict) -> tuple[dict, list]:
     table = datasets.load_outcomes(cfg.data)
     baselines = datasets.load_baselines(cfg.baselines)
     if not baselines:
@@ -415,8 +417,8 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dic
             [scheme] + [_fmt6(factors[name][scheme][column]) for name in names]
             for scheme in cfg.schemes
         ]
-        _write_csv(out_dir / csv_name, ["scheme", *names], rows)
-    _write_json(out_dir / "outcome_factors.json", factors)
+        _write_csv(files, csv_name, ["scheme", *names], rows)
+    _write_json(files, "outcome_factors.json", factors)
     results = {
         "groups": [counts.label_a, counts.label_b],
         "counts": {counts.label_a: counts.counts_a, counts.label_b: counts.counts_b},
@@ -425,7 +427,7 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, out_dir: Path) -> tuple[dic
     return results, warnings
 
 
-def run_compare_performance(cfg: ComparePerformanceConfig, out_dir: Path) -> tuple[dict, list]:
+def run_compare_performance(cfg: ComparePerformanceConfig, files: dict) -> tuple[dict, list]:
     calib_all = datasets.load_benchmarks(cfg.calib)
     primary_all = datasets.load_primary(cfg.primary)
     for src, table in ((cfg.calib, calib_all), (cfg.primary, primary_all)):
@@ -438,21 +440,17 @@ def run_compare_performance(cfg: ComparePerformanceConfig, out_dir: Path) -> tup
     pairs = [(l1, l2) for i, l1 in enumerate(langs) for l2 in langs[i + 1 :]]
     plot_names = _plot_names(pairs) if cfg.plots else {}
     summaries = []
-    charts = {}
     for l1, l2 in pairs:
         post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
         summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
         if cfg.plots:
-            # held as SVG text (about 60 KB a pair), a third of the posterior's size
-            charts[plot_names[(l1, l2)]] = line_chart_svg(
+            _write_chart(
+                files, "plots/" + plot_names[(l1, l2)],
                 [(f"{l1} vs {l2}", post.points, post.probs)],
                 f"Speedup posterior: {l1} vs {l2}",
                 "speedup ratio",
                 "probability",
             )
-    # charts go out only once every pair's posterior has succeeded
-    for name, chart in charts.items():
-        _write_text(out_dir / "plots" / name, chart)
 
     rows = [
         [
@@ -465,11 +463,8 @@ def run_compare_performance(cfg: ComparePerformanceConfig, out_dir: Path) -> tup
         ]
         for s in summaries
     ]
-    _write_csv(
-        out_dir / "summary.csv", ["pair", "ci_low", "ci_high", "median", "mean", "class"], rows
-    )
-    graph = speedup.relationship_graph(summaries)
-    _write_text(out_dir / "graph.dot", speedup.graph_to_dot(graph))
+    _write_csv(files, "summary.csv", ["pair", "ci_low", "ci_high", "median", "mean", "class"], rows)
+    files["graph.dot"] = speedup.graph_to_dot(speedup.relationship_graph(summaries))
 
     results = {
         "metric": cfg.metric,
@@ -522,7 +517,7 @@ def _edge_warnings(joint, remedy="fit-defects --{axis}-range fits on a wider gri
     return warnings
 
 
-def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
+def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
     joint = _fit_joint(_load_bugs(cfg), cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
     marg_a = joint.marginal_x()
     marg_b = joint.marginal_y()
@@ -556,10 +551,10 @@ def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
             },
         }
 
-    _write_json(out_dir / "weibull_fit.json", fit)
+    _write_json(files, "weibull_fit.json", fit)
     for axis, name, marg in (("alpha", "scale", marg_a), ("beta", "shape", marg_b)):
         _write_chart(
-            out_dir / f"marginal_{axis}.svg",
+            files, f"marginal_{axis}.svg",
             [(f"{name} posterior", marg.points, marg.probs)],
             f"Marginal posterior of the Weibull {name}",
             axis,
@@ -573,13 +568,13 @@ def run_fit_defects(cfg: FitDefectsConfig, out_dir: Path) -> tuple[dict, list]:
         cdf = [defects.weibull_cdf(x, params) for x in xs]
         series.append((f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}", xs, cdf))
     _write_chart(
-        out_dir / "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
+        files, "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
         "P[X <= x]",
     )
     return fit, _edge_warnings(joint, "widen --{axis}-range")
 
 
-def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tuple[dict, list]:
+def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[dict, list]:
     bugs = _load_bugs(cfg)
     if (cfg.alpha is None) != (cfg.beta is None):
         raise InvalidValue("--alpha and --beta must be given together")
@@ -609,7 +604,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tupl
         if cells is None:
             cells = shared[e.found] = [_fmt6(e.median), _fmt6(e.ci_low), _fmt6(e.ci_high)]
         rows.append([e.class_id, *cells, _fmt6(e.per_method)])
-    _write_csv(out_dir / "total_bugs.csv", ["class_id", "median", "ci_low", "ci_high", "per_method"], rows)
+    _write_csv(files, "total_bugs.csv", ["class_id", "median", "ci_low", "ci_high", "per_method"], rows)
 
     results = {
         "alpha": params.alpha,
@@ -629,19 +624,19 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, out_dir: Path) -> tupl
     return results, warnings
 
 
-def run_derived_plots(cfg: DerivedPlotsConfig, out_dir: Path) -> tuple[dict, list]:
+def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]:
     joint = _fit_joint(_load_bugs(cfg), cfg.prior)
     bins = cfg.bins if cfg.bins is not None else _DERIVED_BINS
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
     _write_chart(
-        out_dir / f"at_most_{cfg.at_most}.svg",
+        files, f"at_most_{cfg.at_most}.svg",
         [(f"at most {cfg.at_most} bugs", pmf.points, pmf.probs)],
         f"Posterior of P[class has at most {cfg.at_most} bugs]",
         "probability of at most N bugs",
         "posterior mass",
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
-    _write_json(out_dir / f"at_most_{cfg.at_most}.json", payload)
+    _write_json(files, f"at_most_{cfg.at_most}.json", payload)
     return {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}, _edge_warnings(joint)
 
 
@@ -736,9 +731,11 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _config_for(command, args)
-        out_dir = Path(cfg.out)
-        results, warnings = COMMANDS[command][1](cfg, out_dir)
-        _write_report(out_dir, command, cfg, results, warnings)
+        files: dict[str, str] = {}
+        results, warnings = COMMANDS[command][1](cfg, files)
+        _write_report(files, command, cfg, results, warnings)  # added last, so written last
+        for name, text in files.items():
+            _write_text(Path(cfg.out) / name, text)
     except (AnalysisError, FileNotFoundError, ValueError) as exc:
         print(f"bayeskit: error: {exc}", file=sys.stderr)
         return 1

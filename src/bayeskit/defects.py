@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidProbability, NonPositiveParams
+from .errors import InvalidProbability, InvalidValue, NonPositiveParams
 from .pmf import JointPmf2D, Pmf, _check_steps, _logsumexp, _shift_exp
 
 #: evaluation point standing in for x = 0 where the density diverges (shape < 1)
@@ -227,7 +227,15 @@ def pareto_fraction(params: WeibullParams, x_max: float) -> float:
     """
     if not 0 < x_max < math.inf:
         raise NonPositiveParams(f"x_max must be positive and finite, got {x_max!r}")
-    return params.alpha * math.log(5.0) ** (1.0 / params.beta) / x_max
+    try:
+        fraction = params.alpha * math.log(5.0) ** (1.0 / params.beta) / x_max
+    except OverflowError:  # ln(5) ** (1 / beta) beyond the float range
+        fraction = math.inf
+    if not math.isfinite(fraction):
+        raise NonPositiveParams(
+            f"the 80% point over x_max = {x_max!r} is not finite at beta = {params.beta!r}"
+        )
+    return fraction
 
 
 # -- hierarchical total-bug estimation --------------------------------------
@@ -276,7 +284,9 @@ def _log_scaled_priors(params: WeibullParams, s_pts: np.ndarray, n_max: int) -> 
     h = np.arange(1, n_max + 1, dtype=float)
     a, b = params.alpha, params.beta
     logz = np.log(h * s_pts[:, None]) - math.log(a)
-    body = math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
+    # exp beyond the float range is a prior of exactly 0 there
+    with np.errstate(over="ignore"):
+        body = math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
     at_zero = weibull_pdf(0.0, params)
     head = math.log(at_zero) if at_zero > 0 else -np.inf
     return np.concatenate((np.full((len(s_pts), 1), head), body), axis=1)
@@ -357,9 +367,15 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
         raise ValueError(f"at-most count must be nonnegative, got {n}")
     if bins is not None and bins < 1:
         raise ValueError(f"bin count must be at least 1, got {bins}")
+    try:
+        shifted = n + 1.0
+    except OverflowError:
+        raise InvalidValue(f"at-most count {n!r} is too large for a float") from None
     a = joint.x_grid[:, None]
     b = joint.y_grid[None, :]
-    values = np.power((n + 1.0) / a, b)
+    # a power beyond the float range is a cdf of exactly 1 below
+    with np.errstate(over="ignore"):
+        values = np.power(shifted / a, b)
     np.negative(values, out=values)
     np.exp(values, out=values)
     np.subtract(1.0, values, out=values)  # 1 - exp(-(((n + 1) / a) ** b))

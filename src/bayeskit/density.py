@@ -19,7 +19,7 @@ import threading
 import numpy as np
 
 from .errors import EmptySamples, EverythingExcluded, InvalidGrid, InvalidValue
-from .pmf import Pmf, _check_steps, _is_axis, _logsumexp
+from .pmf import Pmf, _check_steps, _is_axis, _logsumexp, _set_frozen_state
 
 AUTO = "auto"
 
@@ -42,6 +42,7 @@ class DensityGrid:
     """Nonnegative density sampled on a uniform grid, normalized to unit mass."""
 
     __slots__ = ("_grid", "_density")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, grid, density):
         g = np.array(grid, dtype=float)

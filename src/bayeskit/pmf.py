@@ -54,7 +54,11 @@ def _logsumexp(x, axis=None):
 
 def _check_steps(axis: str, lo, hi, steps, error) -> int:
     """`steps` as an int: whole, at least 2 for a range, exactly 1 for a point; else `error`."""
-    if not (isinstance(steps, Real) and float(steps).is_integer()):
+    try:
+        whole = isinstance(steps, Real) and float(steps).is_integer()
+    except OverflowError:  # an int beyond the float range
+        raise error(f"{axis} grid step count {steps!r} is too large") from None
+    if not whole:
         raise error(f"{axis} grid step count must be a whole number, got {steps!r}")
     if (lo < hi and steps < 2) or (lo == hi and steps != 1):
         need = "at least 2 grid steps" if lo < hi else "exactly 1 grid step"
@@ -86,8 +90,8 @@ def _array_weights(support, weights):
 
 
 def _set_frozen_state(obj, state) -> None:
-    """`__setstate__` for the slotted classes here: unpickled arrays come back
-    writeable, so they are made read-only again."""
+    """`__setstate__` for the slotted classes here and `density.DensityGrid`:
+    unpickled arrays come back writeable, so they are made read-only again."""
     _, slots = state
     for name, value in slots.items():
         if isinstance(value, np.ndarray):

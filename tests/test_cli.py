@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeskit import cli, outcomes
-from bayeskit.cli import _write_json, build_parser, main
+from bayeskit.cli import _json, build_parser, main
 
 from oracles import _log10_exact, log10_bayes_factor_oracle, normalised_factor_oracle
 
@@ -96,7 +96,7 @@ class TestHelp:
 
 
 class TestJsonWriter:
-    """`_write_json` writes the bytes of `json.dumps(obj, indent=2, sort_keys=True)` plus a newline."""
+    """`_json` gives the text of `json.dumps(obj, indent=2, sort_keys=True)`; files add a newline."""
 
     SCALARS = st.one_of(
         st.none(),
@@ -125,19 +125,16 @@ class TestJsonWriter:
 
     @settings(max_examples=300, deadline=None)
     @given(obj=TREES)
-    def test_bytes_equal_json_dumps(self, tmp_path_factory, obj):
-        path = tmp_path_factory.getbasetemp() / "writer" / "report.json"
-        _write_json(path, obj)
-        assert path.read_bytes() == self.expected(obj)
+    def test_bytes_equal_json_dumps(self, obj):
+        assert (_json(obj) + "\n").encode("utf-8") == self.expected(obj)
 
     @pytest.mark.parametrize("obj", [
         {}, [], (), [[]], {"": {}}, {"b": 1, "a": [True, 1, False, 0]}, {"\u00e9\x00\n": ["\u00fc", None]},
         [-0.0, 0.0, float("nan"), float("inf"), float("-inf")], 2**200, -(2**200), "\ud800",
         {"rows": [{"ci": (1.5, 2.5), "class_id": "c1", "found": 3, "per_method": None}]},
     ])
-    def test_edge_cases(self, tmp_path, obj):
-        _write_json(tmp_path / "r.json", obj)
-        assert (tmp_path / "r.json").read_bytes() == self.expected(obj)
+    def test_edge_cases(self, obj):
+        assert (_json(obj) + "\n").encode("utf-8") == self.expected(obj)
 
     def test_bundled_report_reproduced(self, tmp_path):
         assert run(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", tmp_path]) == 0
@@ -148,16 +145,16 @@ class TestJsonWriter:
         np.int64(1), np.bool_(True), np.array([1.0]), b"x", object(), 1 + 2j, {1, 2},
         [1, {"a": np.float32(0.5)}], {"a": {"b": frozenset()}},
     ])
-    def test_other_types_raise_type_error(self, tmp_path, obj):
+    def test_other_types_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             json.dumps(obj, indent=2, sort_keys=True)
         with pytest.raises(TypeError, match="is not JSON serializable"):
-            _write_json(tmp_path / "r.json", obj)
+            _json(obj)
 
     @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
-    def test_non_str_keys_raise_type_error(self, tmp_path, key):
+    def test_non_str_keys_raise_type_error(self, key):
         with pytest.raises(TypeError, match="^keys must be str, not "):
-            _write_json(tmp_path / "r.json", {"a": [{key: 1}]})
+            _json({"a": [{key: 1}]})
 
 
 def full_parser_command(argv):
@@ -1063,6 +1060,99 @@ class TestReportAndInputs:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["command"] == args[0]
         assert sorted(report["inputs"]) == sorted(map(str, inputs))
+
+
+#: per command: flags of a quick run, and the files its runner puts into `files`
+OUTPUT_SETS = {
+    "compare-outcomes": (
+        ["--data", DATA / "project_outcomes.csv", "--baselines", DATA / "outcome_baselines.csv",
+         "--simplex-step", "0.1"],
+        ["outcome_factors.csv", "outcome_factors.json", "outcome_factors_normalised.csv"],
+    ),
+    "compare-performance": (
+        ["--primary", DATA / "demo_primary.csv", "--calib", DATA / "demo_bench.csv",
+         "--metric", "memory", "--plots"],
+        ["graph.dot", "summary.csv"],  # and one plots/<pair>.svg for each of the 28 pairs
+    ),
+    "fit-defects": (
+        ["--data", DATA / "demo_bugs.csv", "--pareto-xmax", "60", *FAST_FIT],
+        ["cdf_fan.svg", "marginal_alpha.svg", "marginal_beta.svg", "weibull_fit.json"],
+    ),
+    "estimate-total-bugs": (
+        ["--data", DATA / "demo_bugs.csv", "--alpha", "8", "--beta", "0.9", "--e-steps", "3",
+         "--E-steps", "2"],
+        ["total_bugs.csv"],
+    ),
+    "derived-plots": (
+        ["--data", DATA / "demo_bugs.csv", "--at-most", "3", "--bins", "20"],
+        ["at_most_3.json", "at_most_3.svg"],
+    ),
+}
+
+
+class TestOneOutputSet:
+    """A runner fills a mapping of file texts; `main` writes it, and only once the report is built."""
+
+    @pytest.mark.parametrize("command", OUTPUT_SETS)
+    def test_failed_report_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
+        def vanished(path):
+            raise FileNotFoundError(f"{path}: gone")
+
+        monkeypatch.setattr(cli, "_sha256", vanished)
+        out = tmp_path / "out"
+        assert run([command, *OUTPUT_SETS[command][0], "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("bayeskit: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", OUTPUT_SETS)
+    def test_runner_fills_files_and_writes_nothing(self, tmp_path, monkeypatch, command):
+        flags, names = OUTPUT_SETS[command]
+        work, out = tmp_path / "work", tmp_path / "out"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        parsed, args = cli._parse_command([command, *map(str, flags), "--out", str(out)])
+        files = {}
+        cli.COMMANDS[command][1](cli._config_for(parsed, args), files)
+        assert list(tmp_path.rglob("*")) == [work]
+        plots = [name for name in files if name.startswith("plots/")]
+        assert sorted(set(files) - set(plots)) == names
+        assert len(plots) == (28 if command == "compare-performance" else 0)
+        # the command writes those texts, byte for byte, and its report
+        assert run([command, *flags, "--out", out]) == 0
+        written = {p.relative_to(out).as_posix(): p.read_bytes()
+                   for p in out.rglob("*") if p.is_file()}
+        assert sorted(written) == sorted([*files, "report.json"])
+        assert all(written[name] == text.encode("utf-8") for name, text in files.items())
+
+
+class TestExtremeValues:
+    """Values beyond the float range end in `bayeskit: error:` or in their limit, warning-free."""
+
+    BIG = str(10**400)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args,message", [
+        (["estimate-total-bugs", "--e-steps", BIG], f"e grid step count {BIG} is too large"),
+        (["fit-defects", "--grid", f"{BIG}x300"], f"alpha grid step count {BIG} is too large"),
+        (["derived-plots", "--at-most", BIG], f"at-most count {BIG} is too large for a float"),
+        (["estimate-total-bugs", "--alpha", "1e-300", "--beta", "3"],
+         "n_max=100 leaves the Weibull prior no mass on totals 0..100"),  # exp overflows to 0
+        (["fit-defects", "--pareto-xmax", "1e-320", *FAST_FIT], "the 80% point over x_max = 1e-320 "
+         "is not finite at beta = "),
+    ])
+    def test_rejected_with_an_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run([args[0], "--data", DATA / "demo_bugs.csv", *args[1:], "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"bayeskit: error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_at_most_power_overflow_is_probability_one(self, tmp_path):
+        n = 10**110
+        args = ["derived-plots", "--data", DATA / "demo_bugs.csv", "--at-most", n, "--bins", "20"]
+        assert run([*args, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / f"at_most_{n}.json").read_text())
+        assert payload["mass"][-1] == 1.0 and payload["support"][-1] == pytest.approx(0.975)
 
 
 def test_cli_import_leaves_scipy_out():

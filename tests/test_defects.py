@@ -35,7 +35,7 @@ from bayeskit.defects import (
     weibull_cdf,
     weibull_pdf,
 )
-from bayeskit.errors import AllZeroMass, InvalidProbability, NonPositiveParams
+from bayeskit.errors import AllZeroMass, InvalidProbability, InvalidValue, NonPositiveParams
 from bayeskit.pmf import JointPmf2D, Pmf, _logsumexp
 
 from oracles import class_totals_oracle, lcg_uniforms, weibull_fit_oracle, weibull_inverse_cdf
@@ -240,6 +240,16 @@ class TestParetoFraction:
         with pytest.raises(NonPositiveParams, match="positive and finite"):
             pareto_fraction(P_TYPICAL, x_max)
 
+    @pytest.mark.parametrize("params,x_max", [
+        (WeibullParams(1.0, 1e-4), 60.0),  # ln(5) ** 1e4 is beyond the float range
+        (P_TYPICAL, 1e-320),  # a finite 80% point over a tiny x_max
+    ])
+    def test_non_finite_fraction_rejected(self, params, x_max):
+        with pytest.raises(NonPositiveParams, match=(
+            rf"^the 80% point over x_max = {x_max!r} is not finite at beta = {params.beta!r}$"
+        )):
+            pareto_fraction(params, x_max)
+
 
 class TestBinomial:
     def test_certain_detection(self):
@@ -362,6 +372,7 @@ class TestEffectivenessPosterior:
         ({"strong_steps": 3.7}, "E grid step count must be a whole number, got 3.7"),
         ({"e_steps": 1}, "e range (0.15, 0.5) needs at least 2 grid steps, got 1"),
         ({"strong_range": (0.9, 0.9)}, "E range (0.9, 0.9) needs exactly 1 grid step, got 6"),
+        ({"e_steps": 10**400}, f"e grid step count {10**400} is too large"),  # beyond float
     ])
     def test_step_count_rejections_name_the_axis(self, kwargs, message):
         with pytest.raises(InvalidProbability) as info:
@@ -448,6 +459,14 @@ class TestDerivedProbAtMost:
         joint = fit_weibull_posterior([2, 4, 6], "uniform", ((2, 15), (0.5, 1.5), (20, 15)))
         pmf = derived_prob_at_most(10_000, joint)
         assert pmf.mean() > 0.999
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_threshold_beyond_float_powers(self):
+        joint = fit_weibull_posterior([2, 4, 6], "uniform", ((2, 15), (0.5, 3.0), (20, 15)))
+        # (n + 1) / alpha ** beta overflows to inf: every cell's cdf is exactly 1
+        assert derived_prob_at_most(10**110, joint).support == (1.0,)
+        with pytest.raises(InvalidValue, match=f"^at-most count {10**400} is too large for a float$"):
+            derived_prob_at_most(10**400, joint)
 
     def test_two_cell_hand_computation(self):
         joint = JointPmf2D([8.0], [0.5, 1.0], np.array([[0.3, 0.7]]))

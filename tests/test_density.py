@@ -1,6 +1,7 @@
 """Tests for kernel density estimation and interval exclusion."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -249,6 +250,15 @@ class TestDensityGrid:
         for arr in (d.grid, d.density):
             assert not arr.flags.writeable
             assert not np.shares_memory(arr, grid) and not np.shares_memory(arr, dens)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_read_only_through_pickle(self, protocol):
+        for d in (kde([0.0, 1.0, 2.0]), DensityGrid([0.0, 0.5, 1.0], [1.0, 3.0, 0.0])):
+            back = pickle.loads(pickle.dumps(d, protocol))
+            for got, want in ((back.grid, d.grid), (back.density, d.density)):
+                assert not got.flags.writeable and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                back.density[0] = 1.0
 
 
 class TestExcludeInterval:
