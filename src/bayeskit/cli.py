@@ -138,10 +138,6 @@ def _write_json(files: dict, name: str, obj) -> None:
     files[name] = _json(obj) + "\n"
 
 
-def _write_chart(files: dict, name: str, series, title: str, x_label: str, y_label: str) -> None:
-    files[name] = line_chart_svg(series, title, x_label, y_label)
-
-
 def _write_report(files: dict, command: str, cfg, results, warnings) -> None:
     parameters = asdict(cfg)
     parameters.pop("out", None)  # run placement, not analysis configuration
@@ -444,8 +440,7 @@ def run_compare_performance(cfg: ComparePerformanceConfig, files: dict) -> tuple
         post = speedup.pair_posterior(calib, primary, l1, l2, cfg.bandwidth)
         summaries.append(speedup.summarize_pair((l1, l2), post, cfg.ci))
         if cfg.plots:
-            _write_chart(
-                files, "plots/" + plot_names[(l1, l2)],
+            files["plots/" + plot_names[(l1, l2)]] = line_chart_svg(
                 [(f"{l1} vs {l2}", post.points, post.probs)],
                 f"Speedup posterior: {l1} vs {l2}",
                 "speedup ratio",
@@ -553,8 +548,7 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
 
     _write_json(files, "weibull_fit.json", fit)
     for axis, name, marg in (("alpha", "scale", marg_a), ("beta", "shape", marg_b)):
-        _write_chart(
-            files, f"marginal_{axis}.svg",
+        files[f"marginal_{axis}.svg"] = line_chart_svg(
             [(f"{name} posterior", marg.points, marg.probs)],
             f"Marginal posterior of the Weibull {name}",
             axis,
@@ -567,9 +561,8 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
         params = defects.WeibullParams(a, b)
         cdf = [defects.weibull_cdf(x, params) for x in xs]
         series.append((f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}", xs, cdf))
-    _write_chart(
-        files, "cdf_fan.svg", series, "Fitted cumulative distributions", "bugs per class",
-        "P[X <= x]",
+    files["cdf_fan.svg"] = line_chart_svg(
+        series, "Fitted cumulative distributions", "bugs per class", "P[X <= x]"
     )
     return fit, _edge_warnings(joint, "widen --{axis}-range")
 
@@ -628,8 +621,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]
     joint = _fit_joint(_load_bugs(cfg), cfg.prior)
     bins = cfg.bins if cfg.bins is not None else _DERIVED_BINS
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
-    _write_chart(
-        files, f"at_most_{cfg.at_most}.svg",
+    files[f"at_most_{cfg.at_most}.svg"] = line_chart_svg(
         [(f"at most {cfg.at_most} bugs", pmf.points, pmf.probs)],
         f"Posterior of P[class has at most {cfg.at_most} bugs]",
         "probability of at most N bugs",
@@ -736,7 +728,7 @@ def main(argv=None) -> int:
         _write_report(files, command, cfg, results, warnings)  # added last, so written last
         for name, text in files.items():
             _write_text(Path(cfg.out) / name, text)
-    except (AnalysisError, FileNotFoundError, ValueError) as exc:
+    except (AnalysisError, OSError, MemoryError, ValueError) as exc:
         print(f"bayeskit: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -13,10 +13,13 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 420
 _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 44.0
+_TICKS = 5
 
 
 def _escape(text: str) -> str:
@@ -96,13 +99,12 @@ def _extent(values: np.ndarray):
     return float(values[values.argmin()]), float(values[values.argmax()])
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float):
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
-def line_chart_svg(series, title: str, x_label: str, y_label: str,
-                   width: int = 720, height: int = 420) -> str:
+def line_chart_svg(series, title: str, x_label: str, y_label: str) -> str:
     """Render `series` (label, xs, ys) triples as a single SVG document.
 
     xs and ys may be arrays or sequences of real numbers; the document is the
@@ -118,8 +120,8 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -128,10 +130,10 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
         return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
 
@@ -163,9 +165,7 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        ax = _MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w
-        ay = _MARGIN_TOP + plot_h - (ys - y_lo) / (y_hi - y_lo) * plot_h
-        points = _points(ax, ay)
+        points = _points(px(xs), py(ys))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
@@ -182,7 +182,7 @@ def line_chart_svg(series, title: str, x_label: str, y_label: str,
             )
 
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11">{_escape(x_label)}</text>'
     )
     parts.append(

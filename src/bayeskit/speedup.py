@@ -32,7 +32,7 @@ from .density import (
     kde,
     scott_bandwidth,
 )
-from .pmf import CredibleInterval, Pmf, _logsumexp
+from .pmf import CredibleInterval, Pmf
 
 SIGNIFICANT, WEAK, NOT_SIGNIFICANT = "significant", "weak", "not"
 

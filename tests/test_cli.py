@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -1153,6 +1154,32 @@ class TestExtremeValues:
         assert run([*args, "--out", tmp_path]) == 0
         payload = json.loads((tmp_path / f"at_most_{n}.json").read_text())
         assert payload["mass"][-1] == 1.0 and payload["support"][-1] == pytest.approx(0.975)
+
+
+class TestSystemErrors:
+    """A failed read, write or allocation ends in one `bayeskit: error:` line and exit 1."""
+
+    BUGS = DATA / "demo_bugs.csv"
+    HUGE = str(10**17)  # 10**17 eight-byte elements lie beyond any 64-bit address space
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args,message,left", [
+        (["fit-defects", "--data", DATA], os.strerror(errno.EISDIR), None),
+        (["fit-defects", "--data", BUGS, "--config", DATA], os.strerror(errno.EISDIR), None),
+        (["estimate-total-bugs", "--data", BUGS, "--nmax", HUGE], "Unable to allocate", None),
+        (["derived-plots", "--data", BUGS, "--bins", HUGE], "Unable to allocate", None),
+        # the analysis succeeds, but at_most_<n>.svg is longer than a file name may be;
+        # a failure while writing keeps what was written before it
+        (["derived-plots", "--data", BUGS, "--at-most", 10**300],
+         os.strerror(errno.ENAMETOOLONG), []),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, args, message, left):
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bayeskit: error: ") and message in err
+        assert err.count("\n") == 1
+        assert (list(out.iterdir()) if out.exists() else None) == left
 
 
 def test_cli_import_leaves_scipy_out():
