@@ -1,10 +1,13 @@
 """CSV ingestion with schema validation.
 
-`_read_rows` checks the header against its schema and every row, once, for
-the header's field count, and strips the fields; `load_bug_counts`, which
-reads the largest files, does both in its own single pass over the rows.
-The loaders validate the values, which must be finite numbers, and report
-offending rows by line number (1-based, counting the header).
+`_read_table` is the one reader. It decodes every file as UTF-8, checks the
+header against its schema, skips blank rows and raises on the first row whose
+field count differs from the header's, lazily, so the first offending line
+is reported whatever kind of error it holds. Line numbers are 1-based and
+count the header and blank rows. `_read_rows` strips the fields for most
+loaders; `load_bug_counts`, which reads the largest files, converts its raw
+fields with `int` (which ignores surrounding whitespace) and leaves the count
+ranges to `BugCounts`. Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ SCHEMAS = {
 
 
 def _read_table(path, expected_headers):
-    """Return the matched header and the raw rows below it.
+    """Return the matched header and an iterator of (line_number, raw fields).
 
-    `expected_headers` is a list of acceptable header tuples.
+    `expected_headers` is a list of acceptable header tuples. The iterator
+    skips blank rows; every other row must have as many fields as the header.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise SchemaMismatch(f"{path}: empty file, expected a header row")
@@ -43,30 +47,22 @@ def _read_table(path, expected_headers):
     if header not in expected_headers:
         expected = " or ".join(",".join(h) for h in expected_headers)
         raise SchemaMismatch(f"{path}: header {','.join(header)!r} does not match {expected!r}")
-    return header, rows[1:]
 
+    def body():
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise InvalidValue(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
+            yield line, row
 
-def _width_error(path, line, header, row) -> InvalidValue:
-    return InvalidValue(f"{Path(path)} line {line}: expected {len(header)} fields, got {len(row)}")
+    return header, body()
 
 
 def _read_rows(path, expected_headers):
-    """Return the matched header and an iterator of (line_number, fields).
-
-    Blank rows are skipped; every other row must have as many fields as the
-    header, and its fields come stripped.
-    """
+    """`_read_table` with every field stripped."""
     header, body = _read_table(path, expected_headers)
-
-    def checked():
-        for line, row in enumerate(body, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise _width_error(path, line, header, row)
-            yield line, [field.strip() for field in row]
-
-    return header, checked()
+    return header, ((line, [field.strip() for field in row]) for line, row in body)
 
 
 def _parse_float(path, line, field, raw, positive=False):
@@ -241,32 +237,24 @@ def _bug_fields(path, line, row) -> tuple:
 def load_bug_counts(path) -> tuple[BugCounts, ...]:
     """Read `bugs.csv`; public_methods and loc may be blank.
 
-    Each row is converted and range-checked in one pass (`int` ignores the
-    whitespace that stripping would remove); a row that fails goes through
-    `_bug_fields`, whose error names the offending field.
+    Each row is converted from its raw fields and range-checked by
+    `BugCounts`; a row that fails goes through `_bug_fields`, whose error
+    names the offending field.
     """
-    header, body = _read_table(path, [SCHEMAS["bugs"]])
+    _, rows = _read_table(path, [SCHEMAS["bugs"]])
     seen = set()
     out = []
-    for line, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            if not row:
-                continue
-            raise _width_error(path, line, header, row)
-        class_id = row[0].strip()
+    for line, row in rows:
+        class_id, simple, strong, methods, loc = row
+        class_id = class_id.strip()
         if class_id in seen:
             raise DuplicateKey(f"{path} line {line}: duplicate class_id {class_id!r}")
         seen.add(class_id)
-        _, simple, strong, methods, loc = row
         try:
-            simple, strong = int(simple), int(strong)
-            methods = int(methods) if methods else None
-            loc = int(loc) if loc else None
-            good = (simple >= 0 and strong >= 0 and (methods is None or methods >= 1)
-                    and (loc is None or loc >= 1))
+            out.append(BugCounts(class_id, int(simple), int(strong),
+                                 int(methods) if methods else None, int(loc) if loc else None))
+            continue
         except ValueError:
-            good = False
-        if not good:
-            simple, strong, methods, loc = _bug_fields(path, line, row)
-        out.append(BugCounts(class_id, simple, strong, methods, loc))
+            pass  # re-read outside the handler, so the error carries no context
+        out.append(BugCounts(class_id, *_bug_fields(path, line, row)))
     return tuple(out)

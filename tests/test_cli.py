@@ -249,6 +249,16 @@ class TestCompareOutcomes:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["counts"]["agile"] == [1, 6, 22]
 
+    def test_coarse_simplex_that_cannot_hold_the_data_fails(self, tmp_path, capsys):
+        # at a step of 1 every grid distribution is a point mass on one category
+        out = tmp_path / "out"
+        args = ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "1"]
+        assert run([*args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "bayeskit: error: likelihood under the no-difference hypothesis is zero\n"
+        assert not out.exists()
+
     def test_composed_baseline_from_singletons(self, tmp_path):
         # the file lacks a TA entry but holds the T and A singletons
         code = run(

@@ -1,5 +1,9 @@
 """Tests for CSV ingestion and schema validation."""
 
+import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,8 @@ from bayeskit.datasets import (
 )
 from bayeskit.errors import DuplicateKey, InvalidValue, SchemaMismatch
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 
 def write(tmp_path, name, text):
@@ -159,6 +164,58 @@ class TestSharedRowCheck:
         assert str(exc.value).endswith("line 3: duplicate key ('C', 't1', 100.0, 'v1', 'time')")
 
 
+class TestReaderRules:
+    """Whitespace-only optional fields, range errors, and which offending line is reported."""
+
+    BUGS = "class_id,found_simple,found_strong,public_methods,loc\n"
+    PRIMARY = "language,task,metric,value\n"
+
+    def test_whitespace_only_optional_fields_are_blank(self, tmp_path):
+        (row,) = load_bug_counts(write(tmp_path, "bugs.csv", self.BUGS + "c1,1,2, , \n"))
+        assert (row.found_simple, row.found_strong, row.public_methods, row.loc) == (1, 2, None, None)
+
+    def test_range_error_carries_no_context(self, tmp_path):
+        with pytest.raises(InvalidValue, match="line 2: loc='0' must be >= 1") as caught:
+            load_bug_counts(write(tmp_path, "bugs.csv", self.BUGS + "c1,1,2,3,0\n"))
+        assert caught.value.__context__ is None
+
+    @pytest.mark.parametrize("loader, header, good, bad_value, short, value_message", [
+        (load_bug_counts, BUGS, "c0,1,1,,", "c1,x,1,,", "c2,1",
+         "found_simple='x' is not an integer"),
+        (load_primary, PRIMARY, "C,t0,time,1", "C,t1,time,abc", "C,t2,time",
+         "value='abc' is not a number"),
+    ])
+    def test_first_offending_line_wins(self, tmp_path, loader, header, good, bad_value, short,
+                                       value_message):
+        width = len(header.split(","))
+        path = write(tmp_path, "a.csv", header + "\n".join([bad_value, short, good]) + "\n")
+        with pytest.raises(InvalidValue) as caught:
+            loader(path)
+        assert str(caught.value) == f"{path} line 2: {value_message}"
+        path = write(tmp_path, "b.csv", header + "\n".join([short, bad_value, good]) + "\n")
+        with pytest.raises(InvalidValue) as caught:
+            loader(path)
+        assert str(caught.value) == f"{path} line 2: expected {width} fields, got {len(short.split(','))}"
+
+
+def test_utf8_read_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode, Python's default encoding is ASCII
+    rows = (DATA / "demo_bugs.csv").read_text(encoding="utf-8").splitlines()
+    rows[1] = "Klasse_ä" + rows[1][rows[1].index(","):]
+    data = write(tmp_path, "bugs.csv", "\n".join(rows) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayeskit", "estimate-total-bugs", "--data", str(data),
+         "--out", str(out)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "total_bugs.csv", newline="", encoding="utf-8") as fh:
+        assert "Klasse_ä" in {row[0] for row in csv.reader(fh)}
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
     def test_primary_value_names_line_and_field(self, tmp_path, raw):
@@ -199,6 +256,12 @@ class TestErrorsNameTheirPlace:
          "line 2: found_simple='x' is not an integer"),
         ("bugs.csv", BUGS + "c1,1,1,3,10\nc2,1,1,0,10\n", load_bug_counts, InvalidValue,
          "line 3: public_methods='0' must be >= 1"),
+        ("bugs.csv", BUGS + "c1,1,2,3,0\n", load_bug_counts, InvalidValue, "line 2: loc='0' must be >= 1"),
+        ("bugs.csv", BUGS + "c1,1,-2,3,10\n", load_bug_counts, InvalidValue,
+         "line 2: found_strong='-2' must be >= 0"),
+        # a blank line is skipped but still counted
+        ("bugs.csv", BUGS + "c1,1,2,,\n\nc2,x,1,,\n", load_bug_counts, InvalidValue,
+         "line 4: found_simple='x' is not an integer"),
         ("bugs.csv", BUGS + "c1,1,1,,\nc1,2,2,,\n", load_bug_counts, DuplicateKey,
          "line 3: duplicate class_id 'c1'"),
         ("base.csv", "category,k,probability\nT,0,0.5\nT,1,0.5\nT,0,0.25\n", load_baselines, DuplicateKey,

@@ -237,6 +237,20 @@ class TestDensityGrid:
             with pytest.raises(InvalidGrid, match=f"^grid spacing {spacing}"):
                 DensityGrid(grid, density)
 
+    def test_non_uniform_spacing_rejected(self):
+        with pytest.raises(InvalidGrid, match="^grid spacing must be uniform$"):
+            DensityGrid([0.0, 1.0, 3.0], np.ones(3))
+
+    @pytest.mark.parametrize("density", [[1.0, -0.5, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0]])
+    def test_negative_non_finite_or_misshapen_density_rejected(self, density):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match="^density must be finite, nonnegative, and match the grid$"):
+                DensityGrid([0.0, 1.0, 2.0], density)
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(InvalidGrid, match="^density holds no mass on this grid$"):
+            DensityGrid([0.0, 1.0, 2.0], np.zeros(3))
 
     @pytest.mark.parametrize("read_only", [False, True])
     def test_inputs_are_copied_once(self, read_only):

@@ -17,6 +17,7 @@ from bayeskit.errors import (
     InvalidStep,
     NonPositiveK,
     OutOfRange,
+    ZeroDenominator,
 )
 from bayeskit.outcomes import (
     OutcomeCounts,
@@ -475,6 +476,15 @@ class TestNormalisedFactor:
         got = normalised_bayes_factor(data, baseline, scheme, 0.05)
         assert prior_log10 < 0
         assert got.log10 == pytest.approx(paper.log10 - prior_log10, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [bayes_factor, normalised_bayes_factor])
+def test_data_impossible_under_no_difference_raise(factor):
+    # a step of 1 leaves only the three point masses, and each puts zero
+    # likelihood on data that fill two categories
+    data = OutcomeCounts((1, 2, 0), (0, 1, 0))
+    with pytest.raises(ZeroDenominator, match="^likelihood under the no-difference hypothesis is zero$"):
+        factor(data, SURVEY_T, "uniform", 1.0)
 
 
 class TestJeffreysLabel:

@@ -259,6 +259,10 @@ class TestMixture:
         with pytest.raises(ValueError):
             mixture([(-1.0, Pmf({1: 1}))])
 
+    def test_no_components_raise(self):
+        with pytest.raises(AllZeroMass, match="^mixture of no components$"):
+            mixture([])
+
 
 class TestJointPmf2D:
     def test_product_marginals_recover_factors(self):
@@ -296,6 +300,14 @@ class TestJointPmf2D:
     def test_log_weights_all_inf_raises(self):
         with pytest.raises(AllZeroMass):
             JointPmf2D.from_log_weights([0, 1], [0, 1], np.full((2, 2), -np.inf))
+
+    def test_weight_shape_must_match_grid(self):
+        with pytest.raises(ValueError, match=r"^weights shape \(3, 2\) does not match grid \(2, 3\)$"):
+            JointPmf2D([0, 1], [0, 1, 2], np.ones((3, 2)))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            JointPmf2D([0, 1], [0, 1], [[1.0, -1.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", ["x", "y"])
