@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from bayeskit.datasets import load_baselines  # noqa: E402
-from bayeskit.outcomes import _compositions, _scheme_weights, enumerate_simplex  # noqa: E402
+from bayeskit.outcomes import MEAN_TIE_TOL, _compositions, _scheme_weights, _simplex  # noqa: E402
 
 FACTOR_TABLE = {
     "uniform": (0.25, 0.26, 0.17, 0.14, 0.29, 0.12, 0.08, 0.10, 0.01),
@@ -42,8 +42,8 @@ STEP = 0.005
 def main():
     # the nine published distributions, sorted by name as FACTOR_TABLE's columns are
     baselines = load_baselines(ROOT / "data" / "outcome_baselines.csv")
-    simplex = enumerate_simplex(3, STEP)
-    probs = np.array([p.probs for p in simplex])
+    comps, n = _simplex(3, STEP)
+    probs = comps / n
     # zero entries knocked down far enough that exp(count * log p) underflows to 0
     logp = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), -1e6)
     means = probs @ np.array([0.0, 1.0, 2.0])
@@ -56,7 +56,7 @@ def main():
     worst = np.zeros((len(d_a), len(d_s)))
     for column, baseline in enumerate(baselines.values()):
         base_mean = baseline.mean()
-        better = means > base_mean + 1e-12
+        better = means > base_mean + MEAN_TIE_TOL
         delta = np.abs(means - base_mean)
         for scheme, row in FACTOR_TABLE.items():
             w = _scheme_weights(delta, 3, scheme)

@@ -85,28 +85,19 @@ def _write_csv(files: dict, name: str, header, rows) -> None:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def _json(obj, newline: str = "\n") -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)` for what reports hold.
 
     Reports hold dicts with `str` keys, lists, tuples, `str`, `int`, `bool`,
-    `None` and `float` (NaN and infinities spelt as json spells them); any
-    other type raises `TypeError`.  `json.dumps` with an indent runs its
-    pure-Python encoder; this does the same work with fewer calls.
+    `None` and `float`; any other type raises `TypeError`.  `json.dumps`
+    with an indent runs its pure-Python encoder; this does the same work with
+    fewer calls, and leaves NaN and the infinities for `json` to spell.
     """
     kind = type(obj)
     if kind is str:
         return _quote(obj)
     if kind is float:
-        # a finite x has x - x == 0; NaN and the infinities take the spelled path
-        return float.__repr__(obj) if obj - obj == 0 else _json_float(obj)
+        return float.__repr__(obj) if obj - obj == 0 else json.dumps(obj)  # x - x is 0 if finite
     if kind is int:
         return int.__repr__(obj)
     if obj is None or kind is bool:
@@ -124,13 +115,10 @@ def _json(obj, newline: str = "\n") -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         items = [_quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # subclasses, such as NumPy's float64, are written as their base type
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
+    # a subclass (NumPy's float64, an IntEnum) is written as its base type, whatever its __str__
+    for base, exact in ((str, str.__str__), (int, int.__int__), (float, float.__float__)):
+        if isinstance(obj, base):
+            return _json(exact(obj))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidProbability, InvalidValue, NonPositiveParams
-from .pmf import JointPmf2D, Pmf, _check_steps, _logsumexp, _shift_exp
+from .pmf import JointPmf2D, Pmf, _check_memory, _check_steps, _logsumexp, _shift_exp
 
 #: evaluation point standing in for x = 0 where the density diverges (shape < 1)
 PDF_ZERO_EPS = 1e-12
@@ -196,9 +195,12 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
         raise NonPositiveParams(
             f"bad parameter grid {grid!r}: bounds must be positive, finite and ordered"
         )
-    alphas = np.geomspace(a_lo, a_hi, _check_steps("alpha", a_lo, a_hi, n_a, NonPositiveParams))
+    n_a = _check_steps("alpha", a_lo, a_hi, n_a, NonPositiveParams)
+    n_b = _check_steps("beta", b_lo, b_hi, n_b, NonPositiveParams)
+    _check_memory("alpha x beta grid", (n_a, n_b), np.float64, NonPositiveParams)
+    alphas = np.geomspace(a_lo, a_hi, n_a)
     log_a = np.log(alphas)[:, None]
-    betas = np.linspace(b_lo, b_hi, _check_steps("beta", b_lo, b_hi, n_b, NonPositiveParams))
+    betas = np.linspace(b_lo, b_hi, n_b)
 
     x, m = np.unique(data + 1.0, return_counts=True)
     n, log_x = data.size, np.log(x)
@@ -252,12 +254,9 @@ def binomial_pmf(h: int, e: float, d: int) -> float:
     return math.comb(h, d) * e**d * (1.0 - e) ** (h - d)
 
 
-@lru_cache(maxsize=None)
 def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log(i!) for i = 0..n."""
-    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    table.setflags(write=False)
-    return table
+    """Table of log(i!) for i = 0..n."""
+    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
 def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
@@ -317,6 +316,8 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
         raise ValueError(f"found-bug count must be nonnegative, got {d}")
     if n_max < d:
         raise ValueError(f"n_max={n_max} cannot be below the observed count {d}")
+    shape = (grid.e_steps, grid.strong_steps, n_max + 1)
+    _check_memory("e x E x total-bug grid", shape, np.float64, ValueError)
     e_pts = grid.e_points()
     s_pts = grid.strong_points()
     h = np.arange(n_max + 1)
@@ -384,6 +385,7 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
     if bins is None:
         centers, idx = np.unique(flat_vals, return_inverse=True)
     else:
+        _check_memory("grid of bin edges", (bins + 1,), np.float64, ValueError)
         edges = np.linspace(0.0, 1.0, bins + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         idx = np.searchsorted(edges, flat_vals, side="right")

@@ -39,7 +39,7 @@ from .errors import (
     OutOfRange,
     ZeroDenominator,
 )
-from .pmf import _logsumexp
+from .pmf import _check_memory, _logsumexp
 
 WEIGHT_SCHEMES = ("uniform", "triangle", "power", "exp")
 
@@ -198,10 +198,11 @@ def _simplex(k: int, step: float) -> tuple[np.ndarray, int]:
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise InvalidStep(f"1/{step} is not an integer")
+    rows = math.comb(n + k - 1, k - 1)
+    _check_memory(f"simplex grid at step {step!r}", (rows, k), np.int64, InvalidStep)
     return _compositions(k, n), n
 
 
-@lru_cache(maxsize=None)
 def enumerate_simplex(k: int, step: float) -> tuple[OutcomeDistribution, ...]:
     """All K-category distributions whose entries are multiples of `step`.
 

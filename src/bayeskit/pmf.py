@@ -19,6 +19,8 @@ its caller, so none needs to know who else holds one.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from numbers import Number, Real
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -64,6 +66,22 @@ def _check_steps(axis: str, lo, hi, steps, error) -> int:
         need = "at least 2 grid steps" if lo < hi else "exactly 1 grid step"
         raise error(f"{axis} range ({lo}, {hi}) needs {need}, got {steps}")
     return int(steps)
+
+
+def _check_memory(grid: str, shape: tuple, dtype, error) -> None:
+    """`error` naming `grid` where an array of `shape` and `dtype` would need more
+    bytes than this machine's physical memory; nothing where `os.sysconf` cannot tell."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return
+    dtype = np.dtype(dtype)
+    need = math.prod(shape) * dtype.itemsize
+    if 0 < memory < need:
+        raise error(
+            f"the {grid} ({' x '.join(map(str, shape))} {dtype.name}) needs {need / 2**30:,.1f} GiB, "
+            f"more than this machine's {memory / 2**30:,.1f} GiB of memory"
+        )
 
 
 def _is_axis(x: np.ndarray) -> bool:

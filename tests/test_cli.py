@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import enum
 import errno
 import hashlib
 import importlib
@@ -96,6 +97,23 @@ class TestHelp:
         assert "usage" in capsys.readouterr().out
 
 
+class _Colour(str, enum.Enum):
+    RED = "red"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Text(str):
+    def __str__(self):
+        return "not the text"
+
+
+class _Float(float):
+    pass
+
+
 class TestJsonWriter:
     """`_json` gives the text of `json.dumps(obj, indent=2, sort_keys=True)`; files add a newline."""
 
@@ -135,6 +153,14 @@ class TestJsonWriter:
         {"rows": [{"ci": (1.5, 2.5), "class_id": "c1", "found": 3, "per_method": None}]},
     ])
     def test_edge_cases(self, obj):
+        assert (_json(obj) + "\n").encode("utf-8") == self.expected(obj)
+
+    @pytest.mark.parametrize("obj", [
+        _Colour.RED, _Level.HIGH, _Text("\u00e9x"), _Float(2.5), _Float("nan"), _Float("-inf"),
+        {"a": [_Colour.RED, _Level.HIGH, _Text("t")], "b": (_Float("inf"),)},
+    ])
+    def test_subclasses_written_as_their_base_type(self, obj):
+        # a str subclass is written as its text even where its __str__ says otherwise
         assert (_json(obj) + "\n").encode("utf-8") == self.expected(obj)
 
     def test_bundled_report_reproduced(self, tmp_path):
@@ -681,6 +707,16 @@ class TestComparePerformance:
         auto = speedup.compare_pair(calib, primary, *first["pair"], 0.95)
         assert auto.mean != want.mean
 
+    def test_auto_bandwidth_is_the_default(self, tmp_path):
+        args = ["compare-performance", "--primary", DATA / "demo_primary.csv",
+                "--calib", DATA / "demo_bench.csv", "--metric", "memory"]
+        assert run([*args, "--out", tmp_path / "default"]) == 0
+        assert run([*args, "--bandwidth", "auto", "--out", tmp_path / "auto"]) == 0
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "auto").iterdir())
+        for name in names:
+            assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
     def test_missing_metric_fails(self, tmp_path, capsys):
         calib = tmp_path / "calib.csv"
         calib.write_text(
@@ -1176,8 +1212,12 @@ class TestSystemErrors:
     @pytest.mark.parametrize("args,message,left", [
         (["fit-defects", "--data", DATA], os.strerror(errno.EISDIR), None),
         (["fit-defects", "--data", BUGS, "--config", DATA], os.strerror(errno.EISDIR), None),
-        (["estimate-total-bugs", "--data", BUGS, "--nmax", HUGE], "Unable to allocate", None),
-        (["derived-plots", "--data", BUGS, "--bins", HUGE], "Unable to allocate", None),
+        pytest.param(["estimate-total-bugs", "--data", BUGS, "--nmax", HUGE],
+                     f"the e x E x total-bug grid (8 x 6 x {10**17 + 1} float64) needs ", None,
+                     id="nmax-beyond-memory"),
+        pytest.param(["derived-plots", "--data", BUGS, "--bins", HUGE],
+                     f"the grid of bin edges ({10**17 + 1} float64) needs ", None,
+                     id="bins-beyond-memory"),
         # the analysis succeeds, but at_most_<n>.svg is longer than a file name may be;
         # a failure while writing keeps what was written before it
         (["derived-plots", "--data", BUGS, "--at-most", 10**300],
@@ -1190,6 +1230,64 @@ class TestSystemErrors:
         assert err.startswith("bayeskit: error: ") and message in err
         assert err.count("\n") == 1
         assert (list(out.iterdir()) if out.exists() else None) == left
+
+    def test_failed_allocation(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 358. GiB for an array with shape (8, 6, 1000000001)"
+
+        def allocate(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.defects, "_log_factorials", allocate)
+        out = tmp_path / "out"
+        assert run(["estimate-total-bugs", "--data", self.BUGS, "--out", out]) == 1
+        assert capsys.readouterr().err == f"bayeskit: error: {message}\n"
+        assert not out.exists()
+
+
+class TestGridTooLargeForMemory:
+    """A grid larger than this machine's memory ends in one error line naming it, before it is built.
+
+    Each command runs in a child process whose address space is capped at 3 GB,
+    so a grid that is built after all fails there with `MemoryError`.
+    """
+
+    BUGS = DATA / "demo_bugs.csv"
+    CASES = [
+        (["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+          "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "0.00001"],
+         "the simplex grid at step 1e-05 (5000150001 x 3 int64)", 5_000_150_001 * 3 * 8),
+        (["fit-defects", "--data", BUGS, "--grid", "1000000x1000000"],
+         "the alpha x beta grid (1000000 x 1000000 float64)", 10**12 * 8),
+        (["estimate-total-bugs", "--data", BUGS, "--nmax", "1000000000"],
+         "the e x E x total-bug grid (8 x 6 x 1000000001 float64)", 8 * 6 * (10**9 + 1) * 8),
+        (["derived-plots", "--data", BUGS, "--bins", "10000000000"],
+         "the grid of bin edges (10000000001 float64)", (10**10 + 1) * 8),
+    ]
+    CAPPED_MAIN = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from bayeskit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("args,grid,need", CASES)
+    def test_refused_by_name(self, tmp_path, args, grid, need):
+        pytest.importorskip("resource")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if memory >= need:
+            pytest.skip(f"this machine's {memory} bytes of memory hold the grid")
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED_MAIN, *map(str, args), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"bayeskit: error: {grid} needs ")
+        assert "more than this machine's" in proc.stderr and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_out():

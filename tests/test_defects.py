@@ -3,6 +3,7 @@
 import copy
 import inspect
 import math
+import os
 import pickle
 import tracemalloc
 from dataclasses import dataclass
@@ -269,6 +270,11 @@ class TestBinomial:
         with pytest.raises(InvalidProbability):
             binomial_pmf(2, e, 1)
 
+    @pytest.mark.parametrize("h,d", [(-1, 0), (2, -1)])
+    def test_negative_count_rejected(self, h, d):
+        with pytest.raises(ValueError, match=f"^counts must be nonnegative, got h={h}, d={d}$"):
+            binomial_pmf(h, 0.5, d)
+
     @pytest.mark.parametrize("h,e,d", [(10, 0.3, 4), (25, 0.9, 25), (7, 0.15, 0)])
     def test_matches_scipy_reference(self, h, e, d):
         from scipy.stats import binom
@@ -331,6 +337,10 @@ class TestTotalBugsPosterior:
     def test_nmax_below_found_rejected(self):
         with pytest.raises(ValueError):
             total_bugs_posterior(P_TYPICAL, 10, 0.5, 0.8, 5)
+
+    def test_negative_found_count_rejected(self):
+        with pytest.raises(ValueError, match="^found-bug count must be nonnegative, got -1$"):
+            total_bugs_posterior(P_TYPICAL, -1, 0.5, 0.8, 10)
 
     def test_cap_without_prior_mass_named(self):
         # shape > 1 puts no density at 0, the only total a cap of 0 allows
@@ -747,3 +757,30 @@ class TestInPlaceGrids:
         assert from_logs.probs is not logw and direct.probs is not weights
         shifted = np.exp(kept_logw - kept_logw.max())
         assert from_logs.probs.tobytes() == (shifted / shifted.sum()).tobytes()
+
+
+class TestGridsBeyondMemory:
+    """Each defect grid is refused, by name, before it is built when it exceeds memory."""
+
+    @pytest.fixture(autouse=True)
+    def memory(self, monkeypatch):
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # 4096 bytes of memory
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+
+    def test_weibull_grid(self):
+        joint = fit_weibull_posterior([1, 2], "uniform", ((1, 9), (0.5, 2), (16, 32)))
+        assert joint.probs.shape == (16, 32)  # 4096 bytes
+        with pytest.raises(NonPositiveParams, match=r"^the alpha x beta grid \(16 x 33 float64\)"):
+            fit_weibull_posterior([1, 2], "uniform", ((1, 9), (0.5, 2), (16, 33)))
+
+    def test_total_bug_grid(self):
+        grid = EffectivenessGrid((0.2, 0.4), (0.8, 0.9), 2, 2)
+        assert len(class_total_bugs(P_TYPICAL, 3, grid, 127)) == 128  # 2 x 2 x 128 x 8 bytes
+        with pytest.raises(ValueError, match=r"^the e x E x total-bug grid \(2 x 2 x 129 float64\)"):
+            class_total_bugs(P_TYPICAL, 3, grid, 128)
+
+    def test_bin_edges(self):
+        joint = JointPmf2D([8.0], [0.9], np.array([[1.0]]))
+        assert derived_prob_at_most(5, joint, bins=511).mean() > 0  # 512 edges
+        with pytest.raises(ValueError, match=r"^the grid of bin edges \(513 float64\)"):
+            derived_prob_at_most(5, joint, bins=512)

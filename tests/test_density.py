@@ -550,3 +550,12 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
             env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True,
         )
         assert proc.stdout.strip() == "0"
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # where the OS reports no affinity mask, every CPU counts, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert density._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert density._usable_cpus() == 1

@@ -1,7 +1,10 @@
 """Tests for Bayes-factor comparison of categorical outcomes."""
 
+import gc
 import math
+import os
 import pickle
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,6 +143,19 @@ class TestBaseline:
             )
 
 
+class TestOutcomeCounts:
+    @pytest.mark.parametrize("counts", [(1, 2.5, 3), (1, -1, 3)])
+    def test_non_integer_or_negative_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            OutcomeCounts(counts, (1, 1, 1))
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            OutcomeCounts((1, 1, 1), counts)
+
+    def test_groups_of_different_k_rejected(self):
+        with pytest.raises(DimensionMismatch, match="groups disagree on K: 3 vs 2"):
+            OutcomeCounts((1, 2, 3), (1, 2))
+
+
 class TestBetterThan:
     def test_survey_columns_ordered(self):
         assert better_than(SURVEY_A, SURVEY_T)
@@ -175,6 +191,10 @@ class TestMultinomial:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             multinomial_pmf((1, 2), SURVEY_A)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            multinomial_pmf((1, -1, 2), SURVEY_A)
 
     @pytest.mark.parametrize("counts", [(3, 4, 5), (0, 0, 7), (1, 0, 2), (10, 10, 10)])
     def test_matches_scipy_reference(self, counts):
@@ -216,6 +236,28 @@ class TestEnumerateSimplex:
         with pytest.raises(InvalidStep):
             enumerate_simplex(3, step)
 
+    def test_no_category_rejected(self):
+        with pytest.raises(InvalidStep, match="need at least one category, got K=0"):
+            enumerate_simplex(0, 0.5)
+
+    def test_grid_freed_once_dropped(self):
+        # a fine grid's 125,751 distributions live only as long as their caller keeps them
+        grid = enumerate_simplex(3, 0.002)
+        assert len(grid) == 125_751
+        ref = weakref.ref(grid[len(grid) // 2])
+        del grid
+        gc.collect()
+        assert ref() is None
+
+    def test_grid_beyond_memory_refused_before_it_is_built(self, monkeypatch):
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # 4096 bytes of memory
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+        assert len(enumerate_simplex(3, 1 / 15)) == 136  # 136 x 3 x 8 = 3264 bytes
+        with pytest.raises(InvalidStep, match=r"^the simplex grid at step 0\.05 \(231 x 3 int64\) needs "):
+            enumerate_simplex(3, 0.05)
+        with pytest.raises(InvalidStep, match="simplex grid at step 0.05"):
+            bayes_factor(OutcomeCounts((4, 0, 2), (1, 5, 0)), SURVEY_A, "power", 0.05)
+
 
 class TestSchemeWeight:
     def test_zero_gap_all_schemes(self):
@@ -240,6 +282,12 @@ class TestSchemeWeight:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             scheme_weight(SURVEY_A, SURVEY_A, "boxcar")
+
+    def test_baseline_of_another_k_rejected(self):
+        with pytest.raises(DimensionMismatch, match="K=3 against baseline K=2"):
+            scheme_weight(SURVEY_A, OutcomeDistribution((0.5, 0.5)), "uniform")
+        with pytest.raises(DimensionMismatch, match="counts K=3 against baseline K=2"):
+            bayes_factor(OutcomeCounts((1, 2, 3), (3, 2, 1)), OutcomeDistribution((0.5, 0.5)))
 
 
 class TestLikelihoods:

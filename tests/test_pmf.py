@@ -1,5 +1,6 @@
 """Tests for the discrete probability engine."""
 
+import os
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from bayeskit.errors import AllZeroMass, InvalidGrid, InvalidMass, NonNumericSup
 from bayeskit.pmf import (
     JointPmf2D,
     Pmf,
+    _check_memory,
     _check_steps,
     _logsumexp,
     _shift_exp,
@@ -660,3 +662,35 @@ class TestSharedHelpers:
         with pytest.raises(InvalidGrid) as info:
             _check_steps("x", lo, hi, steps, InvalidGrid)
         assert str(info.value) == f"x range ({lo}, {hi}) needs {need}, got {steps}"
+
+    @staticmethod
+    def _memory(monkeypatch, pages):
+        """Make this machine report `pages` pages of 4096 bytes."""
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+
+    def test_grid_beyond_memory_refused_by_name(self, monkeypatch):
+        self._memory(monkeypatch, 2**18)  # 1 GiB
+        with pytest.raises(InvalidGrid) as info:
+            _check_memory("test grid", (2**14, 2**14 + 1), np.float64, InvalidGrid)
+        assert str(info.value) == (
+            "the test grid (16384 x 16385 float64) needs 2.0 GiB, "
+            "more than this machine's 1.0 GiB of memory"
+        )
+
+    def test_grid_within_memory_passes(self, monkeypatch):
+        self._memory(monkeypatch, 2)
+        _check_memory("test grid", (1024,), np.float64, InvalidGrid)  # exactly the 8192 bytes
+        _check_memory("test grid", (2, 1024), np.int32, InvalidGrid)
+        with pytest.raises(InvalidGrid, match="1025 float64"):
+            _check_memory("test grid", (1025,), np.float64, InvalidGrid)
+
+    @pytest.mark.parametrize("failure", [AttributeError, ValueError, OSError])
+    def test_nothing_checked_where_memory_is_unknown(self, monkeypatch, failure):
+        def sysconf(name):
+            raise failure(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        _check_memory("test grid", (10**18,), np.float64, InvalidGrid)
+        monkeypatch.delattr(os, "sysconf")
+        _check_memory("test grid", (10**18,), np.float64, InvalidGrid)
