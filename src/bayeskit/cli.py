@@ -33,7 +33,7 @@ import numpy as np
 
 from . import datasets, defects, outcomes, speedup
 from .density import AUTO
-from .errors import AnalysisError, InvalidValue
+from .errors import AnalysisError, InvalidValue, NonPositiveParams
 from .plots import line_chart_svg
 
 REPORT_NAME = "report.json"
@@ -542,8 +542,13 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
             axis,
             "probability",
         )
-    x_hi = max(a * (np.log(100.0)) ** (1.0 / b) for _, a, b in picks)
-    xs = np.linspace(0.0, float(x_hi), 200).tolist()
+    x_hi = 0.0  # the largest 99% point of the three picks
+    for tag, a, b in picks:
+        x_99 = defects._tail_point(defects.WeibullParams(a, b), math.log(100.0))
+        if not math.isfinite(x_99):
+            raise NonPositiveParams(f"the CDF fan has no finite 99% point at the {tag} pick, beta = {b!r}")
+        x_hi = max(x_hi, x_99)
+    xs = np.linspace(0.0, x_hi, 200).tolist()
     series = []
     for tag, a, b in picks:
         params = defects.WeibullParams(a, b)
@@ -652,33 +657,25 @@ def _add_options(parser: argparse.ArgumentParser, cls) -> None:
         parser.add_argument(_flag(f), dest=f.name, help=_help(f), **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `bayeskit` parser with every command, or with `command` alone under the same usage line."""
     parser = argparse.ArgumentParser(
         prog="bayeskit",
         description="Bayesian data analysis of project outcomes, benchmark speedups, and defect counts.",
     )
-    sub = parser.add_subparsers(dest="command")
-    for command, (cls, _, summary) in COMMANDS.items():
-        _add_options(sub.add_parser(command, help=summary), cls)
+    # an explicit prog spares argparse a usage line per call; the metavar names every command
+    # in the usage line, and stays unset for the full parser, whose errors say `argument command`
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", prog="bayeskit", metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        cls, _, summary = COMMANDS[name]
+        _add_options(sub.add_parser(name, help=summary), cls)
     return parser
 
 
 def _parse_command(argv: list[str]) -> tuple[str | None, argparse.Namespace]:
-    """The command named by `argv` and its flags; the command is None without one.
-
-    When `argv` starts with a command, only that command's parser is built:
-    it is the parser `build_parser` would hand the rest of `argv` to, so its
-    help and errors are the same.  Anything else (top-level help, no or an
-    unknown command, arguments the command does not take) goes to the full
-    parser, which prints the usage or error text.
-    """
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"bayeskit {argv[0]}")
-        _add_options(parser, COMMANDS[argv[0]][0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return argv[0], args
-    parser = build_parser()
+    """The command named by `argv` and its flags; the command is None without one."""
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

@@ -156,14 +156,27 @@ def weibull_pdf(x: float, params: WeibullParams) -> float:
             return 1.0 / a
         x = PDF_ZERO_EPS
     z = x / a
-    return (b / a) * z ** (b - 1.0) * math.exp(-(z**b))
+    try:
+        return (b / a) * z ** (b - 1.0) * math.exp(-(z**b))
+    except OverflowError:  # a power beyond the float range
+        if z >= 1:  # then z**b overflows too, and exp(-(z**b)) is exactly 0
+            return 0.0
+    try:  # a finite density whose direct product overflows on the way
+        return math.exp(math.log(b) - math.log(a) + (b - 1.0) * math.log(z) - z**b)
+    except OverflowError:
+        raise NonPositiveParams(
+            f"the Weibull density at x = {x!r} is beyond the float range at alpha = {a!r}, beta = {b!r}"
+        ) from None
 
 
 def weibull_cdf(x: float, params: WeibullParams) -> float:
     """P[X <= x] = 1 - exp(-(x/alpha)^beta); 0 for x <= 0."""
     if x <= 0:
         return 0.0
-    return 1.0 - math.exp(-((x / params.alpha) ** params.beta))
+    try:
+        return 1.0 - math.exp(-((x / params.alpha) ** params.beta))
+    except OverflowError:  # a power beyond the float range is a cdf of exactly 1
+        return 1.0
 
 
 def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> JointPmf2D:
@@ -222,6 +235,14 @@ def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> Joi
     return JointPmf2D.from_log_weights(alphas, betas, logw)
 
 
+def _tail_point(params: WeibullParams, log_level: float) -> float:
+    """alpha * log_level^(1/beta), where the cdf reaches 1 - exp(-log_level); inf beyond the float range."""
+    try:
+        return params.alpha * log_level ** (1.0 / params.beta)
+    except OverflowError:  # log_level ** (1 / beta) beyond the float range
+        return math.inf
+
+
 def pareto_fraction(params: WeibullParams, x_max: float) -> float:
     """Fraction of `x_max` below which 80% of the distribution falls.
 
@@ -229,10 +250,7 @@ def pareto_fraction(params: WeibullParams, x_max: float) -> float:
     """
     if not 0 < x_max < math.inf:
         raise NonPositiveParams(f"x_max must be positive and finite, got {x_max!r}")
-    try:
-        fraction = params.alpha * math.log(5.0) ** (1.0 / params.beta) / x_max
-    except OverflowError:  # ln(5) ** (1 / beta) beyond the float range
-        fraction = math.inf
+    fraction = _tail_point(params, math.log(5.0)) / x_max
     if not math.isfinite(fraction):
         raise NonPositiveParams(
             f"the 80% point over x_max = {x_max!r} is not finite at beta = {params.beta!r}"

@@ -168,7 +168,7 @@ def multinomial_pmf(counts, p: OutcomeDistribution) -> float:
     return math.exp(_log_multinomial(counts, np.array(p.probs)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # a run uses one grid; the next grid frees the last
 def _compositions(k: int, n: int) -> np.ndarray:
     """All ways to split n into K nonnegative integer parts, one per row.
 
@@ -195,7 +195,10 @@ def _simplex(k: int, step: float) -> tuple[np.ndarray, int]:
         raise InvalidStep(f"need at least one category, got K={k}")
     if not 0 < step <= 1:
         raise InvalidStep(f"step must be in (0, 1], got {step!r}")
-    n = round(1.0 / step)
+    inverse = 1.0 / step
+    if not math.isfinite(inverse):
+        raise InvalidStep(f"step {step!r} is too small: 1/step is beyond the float range")
+    n = round(inverse)
     if abs(n * step - 1.0) > 1e-9:
         raise InvalidStep(f"1/{step} is not an integer")
     rows = math.comb(n + k - 1, k - 1)

@@ -78,8 +78,12 @@ def _check_memory(grid: str, shape: tuple, dtype, error) -> None:
     dtype = np.dtype(dtype)
     need = math.prod(shape) * dtype.itemsize
     if 0 < memory < need:
+        try:
+            gib = f"{need / 2**30:,.1f}"
+        except OverflowError:  # more GiB than a float holds: whole GiB, counted as an int
+            gib = f"{need >> 30:,}"
         raise error(
-            f"the {grid} ({' x '.join(map(str, shape))} {dtype.name}) needs {need / 2**30:,.1f} GiB, "
+            f"the {grid} ({' x '.join(map(str, shape))} {dtype.name}) needs {gib} GiB, "
             f"more than this machine's {memory / 2**30:,.1f} GiB of memory"
         )
 

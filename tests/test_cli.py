@@ -194,7 +194,8 @@ def full_parser_command(argv):
 
 
 class TestCommandParser:
-    """`main` builds only the named command's parser; what it prints is what the full parser prints."""
+    """`main` adds only the named command's options to the one `bayeskit` parser; what it prints,
+    in help, usage and every error, is what the parser of every command prints."""
 
     COMMAND_CASES = [
         (command, case)
@@ -238,6 +239,18 @@ class TestCommandParser:
         monkeypatch.setattr(cli, "_parse_command", full_parser_command)
         assert got == self.outcome(argv, capsys)
 
+    # a known command's usage line names every command through an explicit metavar, so it must
+    # also wrap as the full parser's does on narrow and wide terminals
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", [[c, *case] for c, case in COMMAND_CASES
+                                      if case[:1] in (["--help"], ["-h"], ["--da"])] + TOP_CASES)
+    def test_same_output_at_any_width(self, argv, columns, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.chdir(tmp_path)
+        got = self.outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_parse_command", full_parser_command)
+        assert got == self.outcome(argv, capsys)
+
     @pytest.mark.parametrize("argv, code, text", [
         (["fit-defects", "--help"], 0, "usage: bayeskit fit-defects [-h]"),
         (["fit-defects", "--data"], 2, "bayeskit fit-defects: error: argument --data: expected one argument"),
@@ -251,13 +264,18 @@ class TestCommandParser:
         assert text in out + err
 
     def test_known_command_builds_one_parser(self, tmp_path, monkeypatch):
-        def refuse():
-            raise AssertionError("the full parser was built")
+        added = []
+        add_options = cli._add_options
 
-        monkeypatch.setattr(cli, "build_parser", refuse)
+        def record(parser, cls):
+            added.append(cls)
+            add_options(parser, cls)
+
+        monkeypatch.setattr(cli, "_add_options", record)
         assert run(["derived-plots", "--data", DATA / "demo_bugs.csv", "--bins", "20",
                     "--out", tmp_path]) == 0
         assert (tmp_path / "report.json").is_file()
+        assert added == [cli.DerivedPlotsConfig]
 
 
 class TestCompareOutcomes:
@@ -1192,6 +1210,35 @@ class TestExtremeValues:
         assert run([args[0], "--data", DATA / "demo_bugs.csv", *args[1:], "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"bayeskit: error: {message}")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args,message", [
+        pytest.param(["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                      "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "1e-200"],
+                     "the simplex grid at step 1e-200 (", id="simplex-size"),
+        pytest.param(["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                      "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "1e-320"],
+                     "step 1e-320 is too small: 1/step is beyond the float range", id="simplex-step"),
+        pytest.param(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--nmax", BIG],
+                     f"the e x E x total-bug grid (8 x 6 x {10**400 + 1} float64) needs ", id="nmax"),
+        pytest.param(["derived-plots", "--data", DATA / "demo_bugs.csv", "--bins", BIG],
+                     f"the grid of bin edges ({10**400 + 1} float64) needs ", id="bins"),
+        pytest.param(["fit-defects", "--data", DATA / "demo_bugs.csv", "--beta-range", "1e-300,1e300"],
+                     "the CDF fan has no finite 99% point at the low pick, beta = 1e-300", id="cdf-fan"),
+    ])
+    def test_size_or_step_beyond_floats_in_one_line(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bayeskit: error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prior_density_that_overflows_only_on_the_way(self, tmp_path):
+        # pdf(0) at alpha 1e300, beta 0.01 is about 7.58e6; its direct product overflows
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "1e300", "--beta", "0.01"]
+        assert run([*args, "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_at_most_power_overflow_is_probability_one(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for Weibull fitting and hierarchical total-bug estimation."""
 
 import copy
+import decimal
 import inspect
 import math
 import os
@@ -78,6 +79,28 @@ class TestWeibullPrimitives:
     def test_non_finite_params_rejected(self, alpha, beta):
         with pytest.raises(NonPositiveParams, match="positive and finite"):
             WeibullParams(alpha, beta)
+
+    def test_power_beyond_the_float_range_is_the_limit(self):
+        # (1e10 / 1) ** 40 is beyond the float range: the cdf there is exactly 1, the density 0
+        far = WeibullParams(1.0, 40.0)
+        assert weibull_cdf(1e10, far) == 1.0
+        assert weibull_pdf(1e10, far) == 0.0
+
+    def test_finite_density_whose_direct_product_overflows(self):
+        # at x = 0 the density is taken at x = 1e-12, where z ** (beta - 1) overflows
+        a, b = 1e300, 0.01
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            z, bd = decimal.Decimal(1e-12 / a), decimal.Decimal(b)  # z as the float the code sees
+            exact = float(bd / decimal.Decimal(a) * z ** (bd - 1) * (-(z**bd)).exp())
+        assert exact == pytest.approx(7.58e6, rel=1e-3)
+        assert weibull_pdf(0.0, WeibullParams(a, b)) == pytest.approx(exact, rel=1e-12)
+
+    def test_density_beyond_the_float_range_rejected(self):
+        with pytest.raises(NonPositiveParams, match=(
+            r"^the Weibull density at x = 5e-324 is beyond the float range at alpha = 1\.0, beta = 0\.001$"
+        )):
+            weibull_pdf(5e-324, WeibullParams(1.0, 1e-3))
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=50),

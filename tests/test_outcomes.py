@@ -25,6 +25,7 @@ from bayeskit.errors import (
 from bayeskit.outcomes import (
     OutcomeCounts,
     _compositions,
+    _simplex,
     OutcomeDistribution,
     baseline_distribution,
     bayes_factor,
@@ -248,6 +249,19 @@ class TestEnumerateSimplex:
         del grid
         gc.collect()
         assert ref() is None
+
+    def test_composition_grid_freed_by_the_next(self):
+        # the cache holds one grid: a step-0.002 grid (251,001 x 3 int64) goes once another is asked for
+        comps, _ = _simplex(3, 0.002)
+        ref = weakref.ref(comps)
+        del comps
+        _simplex(3, 0.01)
+        gc.collect()
+        assert ref() is None
+
+    def test_step_with_no_finite_reciprocal_refused_by_name(self):
+        with pytest.raises(InvalidStep, match=r"^step 1e-320 is too small: 1/step is beyond the float range"):
+            enumerate_simplex(3, 1e-320)
 
     def test_grid_beyond_memory_refused_before_it_is_built(self, monkeypatch):
         sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # 4096 bytes of memory

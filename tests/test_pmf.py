@@ -685,6 +685,15 @@ class TestSharedHelpers:
         with pytest.raises(InvalidGrid, match="1025 float64"):
             _check_memory("test grid", (1025,), np.float64, InvalidGrid)
 
+    def test_size_beyond_the_float_range_worded_in_whole_gib(self, monkeypatch):
+        self._memory(monkeypatch, 2**18)
+        with pytest.raises(InvalidGrid) as info:
+            _check_memory("test grid", (2**1100,), np.float64, InvalidGrid)  # 2**1103 bytes
+        assert str(info.value) == (
+            f"the test grid ({2**1100} float64) needs {2**1073:,} GiB, "
+            "more than this machine's 1.0 GiB of memory"
+        )
+
     @pytest.mark.parametrize("failure", [AttributeError, ValueError, OSError])
     def test_nothing_checked_where_memory_is_unknown(self, monkeypatch, failure):
         def sysconf(name):
