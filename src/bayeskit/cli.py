@@ -548,12 +548,9 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
         if not math.isfinite(x_99):
             raise NonPositiveParams(f"the CDF fan has no finite 99% point at the {tag} pick, beta = {b!r}")
         x_hi = max(x_hi, x_99)
-    xs = np.linspace(0.0, x_hi, 200).tolist()
-    series = []
-    for tag, a, b in picks:
-        params = defects.WeibullParams(a, b)
-        cdf = [defects.weibull_cdf(x, params) for x in xs]
-        series.append((f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}", xs, cdf))
+    xs = np.linspace(0.0, x_hi, 200)
+    series = [(f"{tag}: alpha={_fmt6(a)}, beta={_fmt6(b)}", xs, defects._weibull_cdf(xs, a, b))
+              for tag, a, b in picks]
     files["cdf_fan.svg"] = line_chart_svg(
         series, "Fitted cumulative distributions", "bugs per class", "P[X <= x]"
     )

@@ -7,13 +7,14 @@ is reported whatever kind of error it holds. Line numbers are 1-based and
 count the header and blank rows. `_read_rows` strips the fields for most
 loaders; `load_bug_counts`, which reads the largest files, converts its raw
 fields with `int` (which ignores surrounding whitespace) and leaves the count
-ranges to `BugCounts`. Numbers must be finite.
+ranges to `BugCounts`. Numbers must be finite and within the float range.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,8 @@ def _parse_int(path, line, field, raw, minimum=None):
         raise InvalidValue(f"{path} line {line}: {field}={raw!r} is not an integer") from None
     if minimum is not None and value < minimum:
         raise InvalidValue(f"{path} line {line}: {field}={raw!r} must be >= {minimum}")
+    if value > sys.float_info.max:
+        raise InvalidValue(f"{path} line {line}: {field}={raw!r} is too large for a float")
     return value
 
 

@@ -7,12 +7,14 @@ estimated in two layers: for fixed detection effectiveness values (e, E) a
 scaled-Weibull prior meets a binomial likelihood, and a second update over
 an effectiveness grid absorbs the uncertainty about (e, E) into a posterior
 mixture.  All (e, E) cells are one broadcast array, computed once per
-distinct found count.
+distinct found count.  Each formula is written once, on arrays: the scalar
+`weibull_pdf`, `weibull_cdf` and `binomial_pmf` take that arithmetic at one point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,6 +105,8 @@ class BugCounts(_Record, _BugCountsFields):
             raise ValueError(f"public method count must be positive: {self}")
         if loc is not None and loc <= 0:
             raise ValueError(f"loc must be positive: {self}")
+        if max(found_simple, found_strong, public_methods or 0, loc or 0) > sys.float_info.max:
+            raise ValueError(f"bug counts must not exceed the float range: {self}")
         return self
 
 
@@ -139,30 +143,42 @@ class EffectivenessGrid:
 # -- Weibull primitives ----------------------------------------------------
 
 
+def _weibull_log_pdf(x, params: WeibullParams) -> np.ndarray:
+    """log pdf at x > 0, log b - log a + (b - 1) log z - exp(b log z) with log z = log x - log a;
+    -inf where the power is beyond the float range."""
+    a, b = params.alpha, params.beta
+    logz = np.log(x) - math.log(a)
+    with np.errstate(over="ignore"):
+        return math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
+
+
+def _weibull_cdf(x, alpha, beta) -> np.ndarray:
+    """1 - exp(-(x/alpha)^beta) at x >= 0, broadcast and built in place in one new array;
+    1 where the power is beyond the float range."""
+    with np.errstate(over="ignore"):
+        values = np.power(np.divide(x, alpha), beta)
+    np.negative(values, out=values)
+    np.exp(values, out=values)
+    return np.subtract(1.0, values, out=values)
+
+
 def weibull_pdf(x: float, params: WeibullParams) -> float:
     """Weibull density (beta/alpha)(x/alpha)^(beta-1) exp(-(x/alpha)^beta).
 
     At x = 0 the limit convention applies: 0 for beta > 1, 1/alpha for
     beta = 1, and for beta < 1 (where the density diverges) the value at
-    x = PDF_ZERO_EPS, keeping grid computations finite.
+    x = PDF_ZERO_EPS, keeping grid computations finite.  A density beyond
+    the float range is refused.
     """
     a, b = params.alpha, params.beta
-    if x < 0:
+    if x < 0 or (x == 0 and b > 1):
         return 0.0
-    if x == 0:
-        if b > 1:
-            return 0.0
-        if b == 1:
-            return 1.0 / a
-        x = PDF_ZERO_EPS
-    z = x / a
+    if x == 0 and b == 1:
+        log_pdf = math.log(b) - math.log(a)  # the log density's z-terms vanish at z = 0
+    else:
+        log_pdf = float(_weibull_log_pdf(PDF_ZERO_EPS if x == 0 else x, params))
     try:
-        return (b / a) * z ** (b - 1.0) * math.exp(-(z**b))
-    except OverflowError:  # a power beyond the float range
-        if z >= 1:  # then z**b overflows too, and exp(-(z**b)) is exactly 0
-            return 0.0
-    try:  # a finite density whose direct product overflows on the way
-        return math.exp(math.log(b) - math.log(a) + (b - 1.0) * math.log(z) - z**b)
+        return math.exp(log_pdf)
     except OverflowError:
         raise NonPositiveParams(
             f"the Weibull density at x = {x!r} is beyond the float range at alpha = {a!r}, beta = {b!r}"
@@ -173,10 +189,7 @@ def weibull_cdf(x: float, params: WeibullParams) -> float:
     """P[X <= x] = 1 - exp(-(x/alpha)^beta); 0 for x <= 0."""
     if x <= 0:
         return 0.0
-    try:
-        return 1.0 - math.exp(-((x / params.alpha) ** params.beta))
-    except OverflowError:  # a power beyond the float range is a cdf of exactly 1
-        return 1.0
+    return float(_weibull_cdf(np.array([x], dtype=float), params.alpha, params.beta)[0])
 
 
 def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> JointPmf2D:
@@ -267,14 +280,12 @@ def binomial_pmf(h: int, e: float, d: int) -> float:
         raise InvalidProbability(f"effectiveness must be in (0, 1], got {e!r}")
     if h < 0 or d < 0:
         raise ValueError(f"counts must be nonnegative, got h={h}, d={d}")
-    if d > h:
-        return 0.0
-    return math.comb(h, d) * e**d * (1.0 - e) ** (h - d)
+    return math.exp(_log_binomials(np.array([h]), [e], d)[0, 0])
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """Table of log(i!) for i = 0..n."""
-    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
+def _log_factorials(ns: np.ndarray) -> np.ndarray:
+    """log(n!) for each n of an integer vector."""
+    return np.array([math.lgamma(n + 1) for n in ns.tolist()])
 
 
 def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
@@ -285,8 +296,7 @@ def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
     rates = [float(e) for e in e_pts]
     ok = h >= d
     hh = h[ok]
-    log_fact = _log_factorials(int(h.max()))
-    log_coeff = log_fact[hh] - math.lgamma(d + 1) - log_fact[hh - d]
+    log_coeff = _log_factorials(hh) - math.lgamma(d + 1) - _log_factorials(hh - d)
     head = np.array([d * math.log(e) for e in rates])
     log_miss = np.array([math.log1p(-e) if e < 1.0 else 0.0 for e in rates])
     tail = (hh - d) * log_miss[:, None]
@@ -299,11 +309,7 @@ def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
 def _log_scaled_priors(params: WeibullParams, s_pts: np.ndarray, n_max: int) -> np.ndarray:
     """log pdf(h * s) for h = 0..n_max, one row per rate s: the priors over true totals."""
     h = np.arange(1, n_max + 1, dtype=float)
-    a, b = params.alpha, params.beta
-    logz = np.log(h * s_pts[:, None]) - math.log(a)
-    # exp beyond the float range is a prior of exactly 0 there
-    with np.errstate(over="ignore"):
-        body = math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
+    body = _weibull_log_pdf(h * s_pts[:, None], params)
     at_zero = weibull_pdf(0.0, params)
     head = math.log(at_zero) if at_zero > 0 else -np.inf
     return np.concatenate((np.full((len(s_pts), 1), head), body), axis=1)
@@ -390,14 +396,7 @@ def derived_prob_at_most(n: int, joint: JointPmf2D, bins: int | None = None) -> 
         shifted = n + 1.0
     except OverflowError:
         raise InvalidValue(f"at-most count {n!r} is too large for a float") from None
-    a = joint.x_grid[:, None]
-    b = joint.y_grid[None, :]
-    # a power beyond the float range is a cdf of exactly 1 below
-    with np.errstate(over="ignore"):
-        values = np.power(shifted / a, b)
-    np.negative(values, out=values)
-    np.exp(values, out=values)
-    np.subtract(1.0, values, out=values)  # 1 - exp(-(((n + 1) / a) ** b))
+    values = _weibull_cdf(shifted, joint.x_grid[:, None], joint.y_grid[None, :])
     flat_vals = values.ravel()
     flat_mass = joint.probs.ravel()
     if bins is None:

@@ -242,6 +242,16 @@ class TestNonFiniteNumbers:
         with pytest.raises(InvalidValue, match="line 2: probability='nan' is not finite"):
             load_baselines(path)
 
+    @pytest.mark.parametrize("column", range(1, 5))
+    def test_bug_count_beyond_the_float_range_names_line_and_field(self, tmp_path, column):
+        header = ["class_id", "found_simple", "found_strong", "public_methods", "loc"]
+        row = ["c2", "1", "2", "3", "4"]
+        row[column] = huge = "1" * 400
+        path = write(tmp_path, "bugs.csv", ",".join(header) + "\nc1,1,2,3,4\n" + ",".join(row) + "\n")
+        with pytest.raises(InvalidValue) as caught:
+            load_bug_counts(path)
+        assert str(caught.value) == f"{path} line 3: {header[column]}={huge!r} is too large for a float"
+
 
 class TestErrorsNameTheirPlace:
     """Each rejected row names its file, line and column (or, past the rows, what it checks)."""

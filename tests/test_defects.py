@@ -80,18 +80,21 @@ class TestWeibullPrimitives:
         with pytest.raises(NonPositiveParams, match="positive and finite"):
             WeibullParams(alpha, beta)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_power_beyond_the_float_range_is_the_limit(self):
-        # (1e10 / 1) ** 40 is beyond the float range: the cdf there is exactly 1, the density 0
-        far = WeibullParams(1.0, 40.0)
-        assert weibull_cdf(1e10, far) == 1.0
-        assert weibull_pdf(1e10, far) == 0.0
+        # (1e10 / 1) ** 40 is beyond the float range: the cdf there is exactly 1, the density 0;
+        # so it is where x / alpha or beta / alpha is beyond the float range
+        for x, far in [(1e10, WeibullParams(1.0, 40.0)), (1e300, WeibullParams(1e-10, 2.0)),
+                       (1e-300, WeibullParams(1e-310, 0.5))]:
+            assert weibull_cdf(x, far) == 1.0
+            assert weibull_pdf(x, far) == 0.0
 
     def test_finite_density_whose_direct_product_overflows(self):
         # at x = 0 the density is taken at x = 1e-12, where z ** (beta - 1) overflows
         a, b = 1e300, 0.01
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            z, bd = decimal.Decimal(1e-12 / a), decimal.Decimal(b)  # z as the float the code sees
+            z, bd = decimal.Decimal(1e-12) / decimal.Decimal(a), decimal.Decimal(b)  # the exact quotient
             exact = float(bd / decimal.Decimal(a) * z ** (bd - 1) * (-(z**bd)).exp())
         assert exact == pytest.approx(7.58e6, rel=1e-3)
         assert weibull_pdf(0.0, WeibullParams(a, b)) == pytest.approx(exact, rel=1e-12)
@@ -101,6 +104,10 @@ class TestWeibullPrimitives:
             r"^the Weibull density at x = 5e-324 is beyond the float range at alpha = 1\.0, beta = 0\.001$"
         )):
             weibull_pdf(5e-324, WeibullParams(1.0, 1e-3))
+        with pytest.raises(NonPositiveParams, match=(  # 1 / alpha at x = 0
+            r"^the Weibull density at x = 0\.0 is beyond the float range at alpha = 1e-310, beta = 1\.0$"
+        )):
+            weibull_pdf(0.0, WeibullParams(1e-310, 1.0))
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=50),
@@ -298,7 +305,9 @@ class TestBinomial:
         with pytest.raises(ValueError, match=f"^counts must be nonnegative, got h={h}, d={d}$"):
             binomial_pmf(h, 0.5, d)
 
-    @pytest.mark.parametrize("h,e,d", [(10, 0.3, 4), (25, 0.9, 25), (7, 0.15, 0)])
+    # C(1100, 550) and C(2000, 1000) are beyond the float range
+    @pytest.mark.parametrize("h,e,d", [(10, 0.3, 4), (25, 0.9, 25), (7, 0.15, 0), (1100, 0.5, 550),
+                                       (2000, 0.5, 1000)])
     def test_matches_scipy_reference(self, h, e, d):
         from scipy.stats import binom
 
@@ -339,6 +348,48 @@ class TestBinomial:
         for i, e in enumerate(rates):
             alone = _log_scaled_priors(params, np.array([e]), n_max)[0]
             assert rows[i].tobytes() == alone.tobytes()
+
+class TestScalarsAreViews:
+    """Each scalar function is its array formula at one point, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+        alpha=st.floats(1e-3, 1e3),
+        beta=st.floats(0.05, 5.0),
+        n_max=st.integers(1, 300),
+    )
+    def test_weibull_pdf_is_the_log_prior(self, rates, alpha, beta, n_max):
+        params = WeibullParams(alpha, beta)
+        rows = _log_scaled_priors(params, np.array(rates), n_max)
+        for s, row in zip(rates, rows.tolist()):
+            for h in range(1, n_max + 1):
+                assert weibull_pdf(h * s, params) == math.exp(row[h])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.one_of(st.floats(1e-6, 1.0), st.just(1.0)), min_size=1, max_size=6),
+        d=st.integers(0, 40),
+        extra=st.integers(0, 60),
+    )
+    def test_binomial_pmf_is_the_log_binomial(self, rates, d, extra):
+        h = np.arange(d + extra + 1)
+        rows = _log_binomials(h, np.array(rates), d)
+        for e, row in zip(rates, rows.tolist()):
+            for i in range(h.size):
+                assert binomial_pmf(i, e, d) == math.exp(row[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 10**6),
+        alpha=st.floats(1e-3, 1e3),
+        beta=st.floats(0.05, 5.0),
+    )
+    def test_weibull_cdf_is_the_derived_value(self, n, alpha, beta):
+        joint = JointPmf2D([alpha], [beta], np.array([[1.0]]))
+        (value,) = derived_prob_at_most(n, joint).support
+        assert weibull_cdf(n + 1, WeibullParams(alpha, beta)) == value
+
 
 class TestTotalBugsPosterior:
     def test_perfect_detection_point_mass(self):
@@ -486,7 +537,7 @@ class TestDerivedProbAtMost:
         joint = JointPmf2D([8.0], [0.9], np.array([[1.0]]))
         pmf = derived_prob_at_most(5, joint)
         assert len(pmf.support) == 1
-        assert pmf.support[0] == pytest.approx(weibull_cdf(6.0, P_TYPICAL))
+        assert pmf.support[0] == weibull_cdf(6.0, P_TYPICAL)
 
     def test_huge_threshold_mass_near_one(self):
         joint = fit_weibull_posterior([2, 4, 6], "uniform", ((2, 15), (0.5, 1.5), (20, 15)))
@@ -524,6 +575,8 @@ class TestBugCounts:
         (("c1", 1, -2), "bug counts must be nonnegative"),
         (("c1", 1, 2, 0), "public method count must be positive"),
         (("c1", 1, 2, 3, -5), "loc must be positive"),
+        (("c1", 1, 10**400), "bug counts must not exceed the float range"),
+        (("c1", 1, 2, 3, 10**309), "bug counts must not exceed the float range"),
     ])
     def test_bad_values_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
