@@ -685,8 +685,11 @@ def _config_for(command: str, args: argparse.Namespace):
     options = {f.name: f for f in fields(cls)}
     merged: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            merged = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                merged = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidValue(f"{args.config}: {exc}") from None
         if not isinstance(merged, dict):
             raise InvalidValue(f"{args.config}: config must be a JSON object")
     unknown = sorted(set(merged) - set(options))

@@ -128,7 +128,7 @@ class EffectivenessGrid:
         for axis, (lo, hi), name in axes:
             if not (0.0 < lo <= hi <= 1.0):
                 raise InvalidProbability(
-                    f"effectiveness range must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})"
+                    f"{axis} effectiveness range must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})"
                 )
             steps = _check_steps(axis, lo, hi, getattr(self, name), InvalidProbability)
             object.__setattr__(self, name, steps)  # a whole float count becomes the int linspace needs

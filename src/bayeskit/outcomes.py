@@ -14,12 +14,10 @@ also divides out the prior mass of "A better", three more log-sum-exps over
 the weights alone.  Working in log space keeps factors far below the float
 range exact in `BayesFactor.log10` where the factor itself underflows to 0.0.
 
-The log-multinomial part of those vectors depends on neither the baseline
-nor the scheme, yet each (baseline, scheme) recomputes it (well under a
-millisecond at step 0.01): the CLI calls `bayes_factor` once per (baseline,
-scheme), so the function stays pure and a profile of those calls still
-covers all the outcome work.  The `normalised_bayes_factor` call that
-follows it reads the same sums from a one-entry cache.
+The grid means and each group's log-multinomial depend on neither the
+baseline nor the scheme: they are computed once per (counts, step), which
+is once per run.  The scheme weights, the baseline's tie mask and the
+log-sum-exps are per case, and every call computes them anew.
 """
 
 from __future__ import annotations
@@ -168,12 +166,11 @@ def multinomial_pmf(counts, p: OutcomeDistribution) -> float:
     return math.exp(_log_multinomial(counts, np.array(p.probs)))
 
 
-@lru_cache(maxsize=1)  # a run uses one grid; the next grid frees the last
 def _compositions(k: int, n: int) -> np.ndarray:
     """All ways to split n into K nonnegative integer parts, one per row.
 
     Rows are in lexicographic order, which makes downstream sums
-    reproducible.  The cached array is read-only.
+    reproducible.  The array is read-only.
     """
     rows = np.zeros((1, 0), dtype=int)
     used = np.zeros(1, dtype=int)
@@ -242,7 +239,18 @@ def scheme_weight(p: OutcomeDistribution, baseline: OutcomeDistribution, scheme:
     return float(_scheme_weights(delta, p.k, scheme))
 
 
-@lru_cache(maxsize=1)  # `bayes_factor` and `normalised_bayes_factor` of one case share it
+@lru_cache(maxsize=1)  # a run compares one pair of groups at one step; the next frees the last
+def _grid_log_likelihoods(data: OutcomeCounts, step: float) -> tuple[np.ndarray, ...]:
+    """The grid points' mean outcomes and each group's log-multinomial there, read-only."""
+    comps, n = _simplex(data.k, step)
+    probs = comps / n
+    means = comps @ np.arange(data.k) / n
+    log_a, log_b = (_log_multinomial(counts, probs) for counts in (data.counts_a, data.counts_b))
+    for vector in (means, log_a, log_b):
+        vector.setflags(write=False)
+    return means, log_a, log_b
+
+
 def _log_likelihoods(
     data: OutcomeCounts, baseline: OutcomeDistribution, scheme: str, step: float
 ) -> tuple[float, float, float]:
@@ -257,15 +265,13 @@ def _log_likelihoods(
     """
     if data.k != baseline.k:
         raise DimensionMismatch(f"counts K={data.k} against baseline K={baseline.k}")
-    comps, n = _simplex(data.k, step)
-    probs = comps / n
-    means = comps @ np.arange(data.k) / n
+    means, log_like_a, log_like_b = _grid_log_likelihoods(data, step)
     base = baseline.mean()
     better = means > base + MEAN_TIE_TOL
     with np.errstate(divide="ignore"):
         log_w = np.log(_scheme_weights(np.abs(means - base), data.k, scheme))
-    log_a = log_w + _log_multinomial(data.counts_a, probs)
-    log_b = log_w + _log_multinomial(data.counts_b, probs)
+    log_a = log_w + log_like_a
+    log_b = log_w + log_like_b
     log_all = _logsumexp(log_w)
     return (
         float(_logsumexp(log_a[better]) + _logsumexp(log_b[~better])),

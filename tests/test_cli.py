@@ -293,6 +293,24 @@ class TestCompareOutcomes:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["counts"]["agile"] == [1, 6, 22]
 
+    def test_bundled_run_computes_each_group_once(self, tmp_path, monkeypatch):
+        # 9 baselines x 4 schemes x 2 factors share one log-multinomial vector per group
+        calls = []
+        log_multinomial = outcomes._log_multinomial
+
+        def counted(counts, probs):
+            calls.append(counts)
+            return log_multinomial(counts, probs)
+
+        monkeypatch.setattr(outcomes, "_log_multinomial", counted)
+        outcomes._grid_log_likelihoods.cache_clear()
+        assert run(
+            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+             "--baselines", DATA / "outcome_baselines.csv", "--simplex-step", "0.01",
+             "--out", tmp_path]
+        ) == 0
+        assert calls == [(1, 6, 22), (0, 5, 13)]
+
     def test_coarse_simplex_that_cannot_hold_the_data_fails(self, tmp_path, capsys):
         # at a step of 1 every grid distribution is a point mass on one category
         out = tmp_path / "out"
@@ -1053,9 +1071,37 @@ class TestConfigAndErrors:
 
     def test_malformed_config_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert run(["derived-plots", "--config", cfg, "--out", tmp_path]) == 1
-        assert "error" in capsys.readouterr().err
+        out = tmp_path / "out"
+        for content, reason in [
+            (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ]:
+            cfg.write_bytes(content)
+            assert run(["derived-plots", "--config", cfg, "--out", out]) == 1
+            assert capsys.readouterr().err == f"bayeskit: error: {cfg}: {reason}\n"
+            assert not out.exists()
+
+    def test_report_parameters_reproduce_every_bundled_job(self, tmp_path, monkeypatch):
+        # a report's parameters, fed back in as the only config, rewrite every file of its run
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ first
+        spec = importlib.util.spec_from_file_location(
+            "run_all_analyses", ROOT / "scripts" / "run_all_analyses.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run(tmp_path / "flags") == 0
+        jobs = sorted((tmp_path / "flags").iterdir())
+        assert len(jobs) == 6
+        for job in jobs:
+            report = json.loads((job / "report.json").read_text())
+            cfg = tmp_path / f"{job.name}.json"
+            cfg.write_text(json.dumps(report["parameters"]))
+            again = tmp_path / "config" / job.name
+            assert run([report["command"], "--config", cfg, "--out", again]) == 0
+            files = sorted(p.relative_to(job) for p in job.rglob("*") if p.is_file())
+            assert sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file()) == files
+            for name in files:
+                assert (again / name).read_bytes() == (job / name).read_bytes(), (job.name, name)
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = run(["fit-defects", "--data", tmp_path / "nope.csv", "--out", tmp_path])

@@ -457,6 +457,9 @@ class TestEffectivenessPosterior:
         ({"e_steps": 1}, "e range (0.15, 0.5) needs at least 2 grid steps, got 1"),
         ({"strong_range": (0.9, 0.9)}, "E range (0.9, 0.9) needs exactly 1 grid step, got 6"),
         ({"e_steps": 10**400}, f"e grid step count {10**400} is too large"),  # beyond float
+        ({"strong_range": (0.9, 1.5)},
+         "E effectiveness range must satisfy 0 < lo <= hi <= 1, got (0.9, 1.5)"),
+        ({"e_range": (0.5, 0.2)}, "e effectiveness range must satisfy 0 < lo <= hi <= 1, got (0.5, 0.2)"),
     ])
     def test_step_count_rejections_name_the_axis(self, kwargs, message):
         with pytest.raises(InvalidProbability) as info:

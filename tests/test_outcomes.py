@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeskit.datasets import load_baselines
@@ -25,6 +25,7 @@ from bayeskit.errors import (
 from bayeskit.outcomes import (
     OutcomeCounts,
     _compositions,
+    _grid_log_likelihoods,
     _simplex,
     OutcomeDistribution,
     baseline_distribution,
@@ -52,6 +53,9 @@ from oracles import (
 
 SCHEMES = ("uniform", "triangle", "power", "exp")
 BUNDLED_BASELINES = load_baselines(Path(__file__).resolve().parents[1] / "data" / "outcome_baselines.csv")
+
+BUNDLED_COUNTS = OutcomeCounts((1, 6, 22), (0, 5, 13))  # agile, structured
+BUNDLED_CASES = [(name, scheme) for name in sorted(BUNDLED_BASELINES) for scheme in SCHEMES]
 
 SURVEY_A = OutcomeDistribution((0.07, 0.30, 0.63))
 SURVEY_T = OutcomeDistribution((0.18, 0.32, 0.50))
@@ -251,7 +255,7 @@ class TestEnumerateSimplex:
         assert ref() is None
 
     def test_composition_grid_freed_by_the_next(self):
-        # the cache holds one grid: a step-0.002 grid (251,001 x 3 int64) goes once another is asked for
+        # nothing keeps a grid: a step-0.002 grid (125,751 x 3 int64) goes once another is asked for
         comps, _ = _simplex(3, 0.002)
         ref = weakref.ref(comps)
         del comps
@@ -264,6 +268,7 @@ class TestEnumerateSimplex:
             enumerate_simplex(3, 1e-320)
 
     def test_grid_beyond_memory_refused_before_it_is_built(self, monkeypatch):
+        _grid_log_likelihoods.cache_clear()  # an earlier test may have left these counts at 0.05
         sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # 4096 bytes of memory
         monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
         assert len(enumerate_simplex(3, 1 / 15)) == 136  # 136 x 3 x 8 = 3264 bytes
@@ -271,6 +276,42 @@ class TestEnumerateSimplex:
             enumerate_simplex(3, 0.05)
         with pytest.raises(InvalidStep, match="simplex grid at step 0.05"):
             bayes_factor(OutcomeCounts((4, 0, 2), (1, 5, 0)), SURVEY_A, "power", 0.05)
+
+
+class TestGridLogLikelihoods:
+    def test_one_counts_and_step_held(self):
+        # the memo holds one (counts, step): the step-0.002 vectors (125,751 points) go once
+        # another step is asked for
+        vectors = _grid_log_likelihoods(BUNDLED_COUNTS, 0.002)
+        assert [len(v) for v in vectors] == [125_751] * 3
+        assert not any(v.flags.writeable for v in vectors)
+        refs = [weakref.ref(v) for v in vectors]
+        del vectors
+        _grid_log_likelihoods(BUNDLED_COUNTS, 0.01)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @staticmethod
+    def factor_bits(cases):
+        bits = {}
+        for name, scheme in cases:
+            args = (BUNDLED_COUNTS, BUNDLED_BASELINES[name], scheme, 0.005)
+            bits[name, scheme] = tuple(
+                (f.log10.hex(), float(f).hex())
+                for f in (bayes_factor(*args), normalised_bayes_factor(*args))
+            )
+        return bits
+
+    @pytest.fixture(scope="class")
+    def in_order(self):
+        _grid_log_likelihoods.cache_clear()
+        return self.factor_bits(BUNDLED_CASES)
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.permutations(BUNDLED_CASES))
+    def test_factors_do_not_depend_on_the_order_of_the_cases(self, in_order, order):
+        _grid_log_likelihoods.cache_clear()
+        assert self.factor_bits(order) == in_order
 
 
 class TestSchemeWeight:
