@@ -247,9 +247,6 @@ def _parse_option(f, value):
 
 # -- subcommand configs ------------------------------------------------------
 
-_DERIVED_BINS = 100
-
-
 @dataclass(kw_only=True)
 class _Common:
     out: str = _option("output directory", default=".", shown="current directory")
@@ -327,9 +324,7 @@ class EstimateTotalBugsConfig(_BugsConfig):
 @dataclass
 class DerivedPlotsConfig(_BugsConfig):
     at_most: int = _option("bug-count threshold N", int, 5)
-    bins: int | None = _option(
-        "number of [0,1] bins for the derived pmf", int, None, shown=str(_DERIVED_BINS)
-    )
+    bins: int = _option("number of [0,1] bins for the derived pmf", int, 100)
 
 
 # -- runners -----------------------------------------------------------------
@@ -390,9 +385,8 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, files: dict) -> tuple[dict,
                     f"factor for baseline {name!r}, scheme {scheme!r} is 0; "
                     f"consider a finer --simplex-step"
                 )
-            normalised = outcomes.normalised_bayes_factor(
-                counts, resolved[name], scheme, cfg.simplex_step)
-            per[scheme] = {**_factor_fields("", factor), **_factor_fields("normalised_", normalised)}
+            per[scheme] = {**_factor_fields("", factor),
+                           **_factor_fields("normalised_", factor.normalised)}
         factors[name] = per
 
     for column, csv_name in (("factor", "outcome_factors.csv"),
@@ -609,8 +603,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[
 
 def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]:
     joint = _fit_joint(_load_bugs(cfg), cfg.prior)
-    bins = cfg.bins if cfg.bins is not None else _DERIVED_BINS
-    pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=bins)
+    pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=cfg.bins)
     files[f"at_most_{cfg.at_most}.svg"] = line_chart_svg(
         [(f"at most {cfg.at_most} bugs", pmf.points, pmf.probs)],
         f"Posterior of P[class has at most {cfg.at_most} bugs]",
@@ -619,7 +612,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
     _write_json(files, f"at_most_{cfg.at_most}.json", payload)
-    return {"at_most": cfg.at_most, "bins": bins, "mean": pmf.mean()}, _edge_warnings(joint)
+    return {"at_most": cfg.at_most, "bins": cfg.bins, "mean": pmf.mean()}, _edge_warnings(joint)
 
 
 # -- command line ------------------------------------------------------------

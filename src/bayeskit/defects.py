@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidProbability, InvalidValue, NonPositiveParams
+from .errors import AllZeroMass, InvalidProbability, InvalidValue, NonPositiveParams
 from .pmf import JointPmf2D, Pmf, _check_memory, _check_steps, _logsumexp, _shift_exp
 
 #: evaluation point standing in for x = 0 where the density diverges (shape < 1)
@@ -334,7 +334,9 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
 
     One broadcast over (e, E, h): each cell's posterior over h is its
     binomial row times its scaled-prior row, normalised along h, and the
-    cell's likelihood is log sum_h binomial * posterior.
+    cell's likelihood is log sum_h binomial * posterior.  A cell where no
+    total can produce the data is empty: its posterior row is all zeros and
+    its log-likelihood -inf.  `AllZeroMass` only when every cell is empty.
     """
     if d < 0:
         raise ValueError(f"found-bug count must be nonnegative, got {d}")
@@ -349,8 +351,16 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
     log_prior = _log_scaled_priors(params, s_pts, n_max)
     if not np.isfinite(log_prior).any(axis=1).all():
         raise ValueError(f"n_max={n_max} leaves the Weibull prior no mass on totals 0..{n_max}")
-    cells = _shift_exp(log_binom[:, None, :] + log_prior[None, :, :], axis=2)
+    log_cells = log_binom[:, None, :] + log_prior[None, :, :]
+    empty = log_cells.max(axis=2) == -np.inf
+    if empty.all():
+        raise AllZeroMass(
+            f"found count {d} is impossible in every effectiveness cell with totals capped at {n_max}"
+        )
+    log_cells[empty] = 0.0  # a finite stand-in, so the shift does not raise; zeroed below
+    cells = _shift_exp(log_cells, axis=2)
     cells /= cells.sum(axis=2, keepdims=True)
+    cells[empty] = 0.0
     total = (np.exp(log_binom)[:, None, :] * cells).sum(axis=2)
     with np.errstate(divide="ignore"):
         loglik = np.log(total)

@@ -17,7 +17,8 @@ range exact in `BayesFactor.log10` where the factor itself underflows to 0.0.
 The grid means and each group's log-multinomial depend on neither the
 baseline nor the scheme: they are computed once per (counts, step), which
 is once per run.  The scheme weights, the baseline's tie mask and the
-log-sum-exps are per case, and every call computes them anew.
+log-sum-exps are per case, and are computed once per case: `bayes_factor`
+returns the normalised factor along with the paper's.
 """
 
 from __future__ import annotations
@@ -313,15 +314,18 @@ class BayesFactor(float):
 
     The log stays finite where the factor itself underflows to 0.0, and it is
     -inf only when the "A better" family cannot produce the data at all.
+    `normalised` is the case's normalised factor from the same likelihood
+    pass, itself a `BayesFactor`; it is None on a normalised factor.
     """
 
-    def __new__(cls, log10: float):
+    def __new__(cls, log10: float, normalised: BayesFactor | None = None):
         self = super().__new__(cls, 10.0**log10)
         self.log10 = log10
+        self.normalised = normalised
         return self
 
     def __getnewargs__(self):
-        return (self.log10,)
+        return (self.log10, self.normalised)
 
 
 def bayes_factor(
@@ -335,12 +339,15 @@ def bayes_factor(
     This is the paper's factor.  Both hypotheses share the unnormalised
     scheme weights, so it is the posterior probability, under "no
     difference", that A's distribution is better and B's is not, and it
-    never exceeds 1.
+    never exceeds 1.  Its `normalised` attribute is `normalised_bayes_factor`
+    of the same arguments.
     """
-    log_num, log_den, _ = _log_likelihoods(data, baseline, scheme, step)
+    log_num, log_den, log_prior = _log_likelihoods(data, baseline, scheme, step)
     if log_den == -math.inf:
         raise ZeroDenominator("likelihood under the no-difference hypothesis is zero")
-    return BayesFactor((log_num - log_den) / math.log(10))
+    log10 = (log_num - log_den) / math.log(10)
+    normalised = -math.inf if log_prior == -math.inf else log10 - log_prior / math.log(10)
+    return BayesFactor(log10, BayesFactor(normalised))
 
 
 def normalised_bayes_factor(
@@ -356,12 +363,7 @@ def normalised_bayes_factor(
     where the data favour it, and empty data give exactly 1.  It is 0 where
     no grid distribution with weight is better than the baseline.
     """
-    log_num, log_den, log_prior = _log_likelihoods(data, baseline, scheme, step)
-    if log_den == -math.inf:
-        raise ZeroDenominator("likelihood under the no-difference hypothesis is zero")
-    if log_prior == -math.inf:
-        return BayesFactor(-math.inf)
-    return BayesFactor((log_num - log_den) / math.log(10) - log_prior / math.log(10))
+    return bayes_factor(data, baseline, scheme, step).normalised
 
 
 def jeffreys_label(k: float) -> str:

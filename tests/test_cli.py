@@ -294,15 +294,22 @@ class TestCompareOutcomes:
         assert report["results"]["counts"]["agile"] == [1, 6, 22]
 
     def test_bundled_run_computes_each_group_once(self, tmp_path, monkeypatch):
-        # 9 baselines x 4 schemes x 2 factors share one log-multinomial vector per group
-        calls = []
+        # 9 baselines x 4 schemes x 2 factors share one log-multinomial vector per group,
+        # and each (baseline, scheme) case makes one likelihood pass for both its factors
+        calls, passes = [], []
         log_multinomial = outcomes._log_multinomial
+        log_likelihoods = outcomes._log_likelihoods
 
         def counted(counts, probs):
             calls.append(counts)
             return log_multinomial(counts, probs)
 
+        def counted_pass(*args):
+            passes.append(args)
+            return log_likelihoods(*args)
+
         monkeypatch.setattr(outcomes, "_log_multinomial", counted)
+        monkeypatch.setattr(outcomes, "_log_likelihoods", counted_pass)
         outcomes._grid_log_likelihoods.cache_clear()
         assert run(
             ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
@@ -310,6 +317,7 @@ class TestCompareOutcomes:
              "--out", tmp_path]
         ) == 0
         assert calls == [(1, 6, 22), (0, 5, 13)]
+        assert len(passes) == 36  # two factors per case, one pass
 
     def test_coarse_simplex_that_cannot_hold_the_data_fails(self, tmp_path, capsys):
         # at a step of 1 every grid distribution is a point mass on one category
@@ -801,6 +809,27 @@ class TestDefectCommands:
         payload = json.loads((tmp_path / "at_most_3.json").read_text())
         assert payload["at_most"] == 3
         assert (tmp_path / "at_most_3.svg").exists()
+
+    def test_derived_plots_report_names_the_default_bins(self, tmp_path):
+        assert run(["derived-plots", "--data", DATA / "demo_bugs.csv", "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["bins"] == report["results"]["bins"] == 100
+
+    def test_effectiveness_range_reaching_one(self, tmp_path, capsys):
+        # the fitted beta exceeds 1, so the e = 1 cell cannot produce a class with 0 found
+        # bugs: that cell gets no weight, and only a grid of that cell alone fails
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv"]
+        assert run([*args, "--e-range", "0.5,1", "--out", tmp_path / "reach"]) == 0
+        report = json.loads((tmp_path / "reach" / "report.json").read_text())
+        assert report["results"]["beta"] > 1 and report["warnings"] == []
+        assert 0 in [row["found"] for row in report["results"]["rows"]]
+        one = ["--e-range", "1,1", "--E-range", "1,1", "--e-steps", "1", "--E-steps", "1"]
+        assert run([*args, *one, "--out", tmp_path / "empty"]) == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: found count 0 is impossible in every effectiveness cell "
+            "with totals capped at 100\n"
+        )
+        assert not (tmp_path / "empty").exists()
 
 
 class TestGridEdgeWarnings:

@@ -481,10 +481,19 @@ class TestClassTotalBugs:
 
     def test_impossible_cell_rejected(self):
         # beta > 1 puts no prior mass on zero bugs, and perfect detection of
-        # zero found bugs allows only zero: the e = 1 cell has no mass at all
+        # zero found bugs allows only zero: the e = 1 cell has no mass at all,
+        # so it gets no weight, and only a grid of such cells fails
+        params = WeibullParams(8.0, 2.0)
         grid = EffectivenessGrid((0.5, 1.0), (1.0, 1.0), 2, 1)
-        with pytest.raises(AllZeroMass):
-            class_total_bugs(WeibullParams(8.0, 2.0), 0, grid, 40)
+        alone = EffectivenessGrid((0.5, 0.5), (1.0, 1.0), 1, 1)
+        got = class_total_bugs(params, 0, grid, 40)
+        want = class_total_bugs(params, 0, alone, 40)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        posterior = effectiveness_posterior(params, 0, grid, 40)
+        assert posterior.probs[1, 0] == 0.0 and posterior.probs[0, 0] == 1.0
+        message = "^found count 0 is impossible in every effectiveness cell with totals capped at 40$"
+        with pytest.raises(AllZeroMass, match=message):
+            total_bugs_posterior(params, 0, 1.0, 1.0, 40)
 
     def test_matches_triple_loop_oracle(self):
         grid = EffectivenessGrid((0.2, 0.5), (0.7, 0.95), 3, 2)

@@ -26,6 +26,7 @@ from bayeskit.outcomes import (
     OutcomeCounts,
     _compositions,
     _grid_log_likelihoods,
+    _log_likelihoods,
     _simplex,
     OutcomeDistribution,
     baseline_distribution,
@@ -496,6 +497,8 @@ class TestLogSpace:
         got = bayes_factor(OutcomeCounts((1, 2, 3), (2, 1, 1)), SURVEY_T, "exp", 0.25)
         back = pickle.loads(pickle.dumps(got))
         assert back == got and back.log10 == got.log10
+        assert back.normalised.log10 == got.normalised.log10
+        assert back.normalised.normalised is None
 
 class TestNormalisedFactor:
     """The paper's factor divided by the prior mass of "A better", against exact rationals."""
@@ -579,6 +582,27 @@ class TestNormalisedFactor:
         got = normalised_bayes_factor(data, baseline, scheme, 0.05)
         assert prior_log10 < 0
         assert got.log10 == pytest.approx(paper.log10 - prior_log10, abs=1e-12)
+
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+                        min_size=2, max_size=2),
+        scheme=st.sampled_from(SCHEMES),
+        # the top point mass adds a baseline that no grid distribution beats
+        baseline=st.sampled_from([*BUNDLED_BASELINES.values(), OutcomeDistribution((0, 0, 1))]),
+        step=st.sampled_from([0.25, 0.1, 0.05]),
+    )
+    def test_one_likelihood_pass_gives_both_factors(self, counts, scheme, baseline, step):
+        # the normalised factor built apart from the paper's, in its own order of operations
+        args = (OutcomeCounts(*counts), baseline, scheme, step)
+        log_num, log_den, log_prior = _log_likelihoods(*args)
+        if log_prior == -math.inf:
+            want = -math.inf
+        else:
+            want = (log_num - log_den) / math.log(10) - log_prior / math.log(10)
+        for got in (normalised_bayes_factor(*args), bayes_factor(*args).normalised):
+            assert got.log10 == want
+            assert float(got) == 10.0**want
+            assert got.normalised is None
 
 
 @pytest.mark.parametrize("factor", [bayes_factor, normalised_bayes_factor])
