@@ -265,7 +265,6 @@ class CompareOutcomesConfig(_Common):
     )
     simplex_step: float = _option("grid step for outcome distributions", float, 0.05)
     rescale_b: int = _option("lower anchor for raw 1..10 rescaling", int, 1)
-    rescale_r: int | None = _option("number of category steps", int, None, shown="from baselines")
     hypothesis_group: str | None = _option(
         "group hypothesized better", default=None, shown="first in file"
     )
@@ -353,8 +352,6 @@ def run_compare_outcomes(cfg: CompareOutcomesConfig, files: dict) -> tuple[dict,
     if len(k_values) != 1:
         raise InvalidValue(f"baselines disagree on K: {sorted(k_values)}")
     k = k_values.pop()
-    if cfg.rescale_r is not None and cfg.rescale_r != k - 1:
-        raise InvalidValue(f"--rescale-r {cfg.rescale_r} conflicts with K={k} baselines")
 
     names = cfg.baseline_set or tuple(sorted(baselines))
     resolved, named = {}, {}
@@ -565,7 +562,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
-    for found, (cap, mass) in sorted(estimates.last_cell.items()):
+    for found, (*_, cap, mass) in sorted(estimates.by_found.items()):
         if mass > _EDGE_MASS:
             warnings.append(
                 f"total-bug posterior of the classes with {found} found bugs holds {mass:.3g} "
@@ -574,13 +571,8 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[
 
     # classes with the same found count share their median and interval, so
     # those three cells are formatted once per count
-    shared = {}
-    rows = []
-    for e in estimates:
-        cells = shared.get(e.found)
-        if cells is None:
-            cells = shared[e.found] = [_fmt6(e.median), _fmt6(e.ci_low), _fmt6(e.ci_high)]
-        rows.append([e.class_id, *cells, _fmt6(e.per_method)])
+    cells = {d: [_fmt6(x) for x in summary[:3]] for d, summary in estimates.by_found.items()}
+    rows = [[e.class_id, *cells[e.found], _fmt6(e.per_method)] for e in estimates]
     _write_csv(files, "total_bugs.csv", ["class_id", "median", "ci_low", "ci_high", "per_method"], rows)
 
     results = {
@@ -707,7 +699,7 @@ def main(argv=None) -> int:
         for name, text in files.items():
             _write_text(Path(cfg.out) / name, text)
     except (AnalysisError, OSError, MemoryError, ValueError) as exc:
-        print(f"bayeskit: error: {exc}", file=sys.stderr)
+        print(f"bayeskit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -183,7 +183,7 @@ def load_baselines(path) -> dict[str, OutcomeDistribution]:
     for name in sorted(cells):
         per = cells[name]
         k_max = max(per)
-        if sorted(per) != list(range(k_max + 1)):
+        if len(per) != k_max + 1:  # distinct keys >= 0: they cover 0..k_max if there are k_max + 1
             raise InvalidValue(f"{path}: baseline {name!r} does not cover categories 0..{k_max}")
         try:
             out[name] = OutcomeDistribution(tuple(per[k] for k in range(k_max + 1)))

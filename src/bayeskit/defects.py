@@ -7,8 +7,10 @@ estimated in two layers: for fixed detection effectiveness values (e, E) a
 scaled-Weibull prior meets a binomial likelihood, and a second update over
 an effectiveness grid absorbs the uncertainty about (e, E) into a posterior
 mixture.  All (e, E) cells are one broadcast array, computed once per
-distinct found count.  Each formula is written once, on arrays: the scalar
-`weibull_pdf`, `weibull_cdf` and `binomial_pmf` take that arithmetic at one point.
+distinct found count, and `estimate_class_totals` keeps each count's summary
+in one `by_found` map that every class with that count reads.  Each formula
+is written once, on arrays: the scalar `weibull_pdf`, `weibull_cdf` and
+`binomial_pmf` take that arithmetic at one point.
 """
 
 from __future__ import annotations
@@ -446,12 +448,13 @@ class ClassEstimate(_Record, _ClassEstimateFields):
 class ClassEstimates(list):
     """`ClassEstimate` rows, one per class in input order.
 
-    `last_cell` maps each distinct found count to its cap on total bugs and
-    the posterior mass at that cap; a large mass there means the cap cuts
-    the posterior off.
+    `by_found` maps each distinct found count to the summary its classes
+    share: (median, ci_low, ci_high, cap, mass at cap), where the cap is
+    `default_n_max(found)` or the given `n_max`; a large mass at the cap
+    means the cap cuts the posterior off.
     """
 
-    __slots__ = ("last_cell",)
+    __slots__ = ("by_found",)
 
 
 def estimate_class_totals(
@@ -461,19 +464,17 @@ def estimate_class_totals(
     n_max: int | None = None,
     ci_mass: float = 0.9,
 ) -> ClassEstimates:
-    """Per-class total-bug summaries from simple-spec detection counts."""
-    summaries = {}
+    """Per-class total-bug summaries from simple-spec detection counts, one posterior per count."""
     out = ClassEstimates()
-    out.last_cell = {}
+    out.by_found = by_found = {}
     for rec in classes:
         d = rec.found_simple
-        cap = default_n_max(d) if n_max is None else n_max
-        if (d, cap) not in summaries:
+        if d not in by_found:
+            cap = default_n_max(d) if n_max is None else n_max
             post = class_total_bugs(params, d, grid, cap)
             ci = post.credible_interval(ci_mass)
-            summaries[d, cap] = float(post.median()), float(ci.low), float(ci.high)
-            out.last_cell[d] = cap, float(post.probs[-1])
-        median, low, high = summaries[d, cap]
+            by_found[d] = float(post.median()), float(ci.low), float(ci.high), cap, float(post.probs[-1])
+        median, low, high, _, _ = by_found[d]
         per_method = median / rec.public_methods if rec.public_methods else None
         out.append(ClassEstimate(rec.class_id, d, median, low, high, per_method))
     return out

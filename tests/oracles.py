@@ -270,7 +270,8 @@ def class_totals_oracle(alpha, beta, d, e_points, strong_points, n_max):
                 lik = math.comb(h, d) * e**d * (1.0 - e) ** (h - d) if h >= d else 0.0
                 unnorm.append(prior * lik)
             total = sum(unnorm)
-            post = [u / total for u in unnorm]
+            # a cell where no total can produce the data is empty: it gets no posterior mass
+            post = [u / total for u in unnorm] if total else [0.0] * (n_max + 1)
             cells[(i, j)] = post
             raw_lik[(i, j)] = sum(
                 (math.comb(h, d) * e**d * (1.0 - e) ** (h - d) if h >= d else 0.0) * post[h]

@@ -62,7 +62,7 @@ class TestHelp:
             (
                 "compare-outcomes",
                 ["--data", "--baselines", "--baseline-set", "--scheme", "--simplex-step",
-                 "--rescale-b", "--rescale-r", "--hypothesis-group", "--out", "--config",
+                 "--rescale-b", "--hypothesis-group", "--out", "--config",
                  "0.05"],
             ),
             (
@@ -489,14 +489,22 @@ class TestCompareOutcomes:
         assert report["results"]["counts"]["good"] == [0, 1, 4]
         assert report["results"]["counts"]["bad"] == [2, 1, 0]
 
-    def test_rescale_r_conflicting_with_baselines_fails(self, tmp_path, capsys):
-        code = run(
-            ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
-             "--baselines", DATA / "outcome_baselines.csv", "--out", tmp_path,
-             "--rescale-r", "4"]
+    def test_rescale_r_is_refused(self, tmp_path, capsys):
+        # the baselines fix the number of category steps, so there is no flag or config key for it
+        args = ["compare-outcomes", "--data", DATA / "project_outcomes.csv",
+                "--baselines", DATA / "outcome_baselines.csv"]
+        assert "--rescale-r" not in build_parser("compare-outcomes").format_help()
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--out", tmp_path / "flag", "--rescale-r", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rescale-r 2" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text('{"rescale_r": 2}')
+        assert run([*args, "--out", tmp_path / "config", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: compare-outcomes: unknown option(s) ['rescale_r']\n"
         )
-        assert code == 1
-        assert "rescale-r" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
 
 
 class TestRepeatedNames:
@@ -1368,6 +1376,18 @@ class TestSystemErrors:
         assert capsys.readouterr().err == f"bayeskit: error: {message}\n"
         assert not out.exists()
 
+    def test_error_without_text_is_named(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError raised by Python itself carries no message
+        def allocate(cfg, files):
+            raise MemoryError()
+
+        cls, _, summary = cli.COMMANDS["estimate-total-bugs"]
+        monkeypatch.setitem(cli.COMMANDS, "estimate-total-bugs", (cls, allocate, summary))
+        out = tmp_path / "out"
+        assert run(["estimate-total-bugs", "--data", self.BUGS, "--out", out]) == 1
+        assert capsys.readouterr().err == "bayeskit: error: MemoryError\n"
+        assert not out.exists()
+
 
 class TestGridTooLargeForMemory:
     """A grid larger than this machine's memory ends in one error line naming it, before it is built.
@@ -1412,6 +1432,26 @@ class TestGridTooLargeForMemory:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(f"bayeskit: error: {grid} needs ")
         assert "more than this machine's" in proc.stderr and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_baseline_categories_counted_not_listed(self, tmp_path):
+        # k = 10**9 would cover 0..10**9 only with 10**9 + 1 rows: the check counts the rows,
+        # where a list of every category would fail to allocate with no message
+        pytest.importorskip("resource")
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("category,k,probability\nA,0,0.5\nA,1000000000,0.5\n")
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED_MAIN, "compare-outcomes",
+             "--data", str(DATA / "project_outcomes.csv"), "--baselines", str(baselines),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            f"bayeskit: error: {baselines}: baseline 'A' does not cover categories 0..1000000000\n"
+        )
         assert not out.exists()
 
 

@@ -491,6 +491,9 @@ class TestClassTotalBugs:
         assert got.probs.tobytes() == want.probs.tobytes()
         posterior = effectiveness_posterior(params, 0, grid, 40)
         assert posterior.probs[1, 0] == 0.0 and posterior.probs[0, 0] == 1.0
+        _, weights, mixture = class_totals_oracle(8.0, 2.0, 0, [0.5, 1.0], [1.0], 40)
+        assert weights == {(0, 0): 1.0, (1, 0): 0.0}
+        np.testing.assert_allclose(got.probs, mixture, atol=1e-9)
         message = "^found count 0 is impossible in every effectiveness cell with totals capped at 40$"
         with pytest.raises(AllZeroMass, match=message):
             total_bugs_posterior(params, 0, 1.0, 1.0, 40)
@@ -529,14 +532,21 @@ class TestClassTotalBugs:
         assert third.per_method != first.per_method
 
     @pytest.mark.parametrize("n_max", [None, 12])
-    def test_estimates_carry_each_counts_last_cell(self, n_max):
+    def test_estimates_carry_each_counts_summary(self, n_max):
         rows = [BugCounts("c1", 2, 5), BugCounts("c2", 9, 11), BugCounts("c3", 2, 7)]
         grid = EffectivenessGrid((0.2, 0.5), (0.7, 0.95), 2, 2)
         estimates = estimate_class_totals(rows, P_TYPICAL, grid, n_max=n_max)
-        caps = {d: default_n_max(d) if n_max is None else n_max for d in (2, 9)}
-        assert estimates.last_cell == {
-            d: (cap, float(class_total_bugs(P_TYPICAL, d, grid, cap).probs[-1])) for d, cap in caps.items()
-        }
+        want = {}
+        for d in (2, 9):
+            cap = default_n_max(d) if n_max is None else n_max
+            post = class_total_bugs(P_TYPICAL, d, grid, cap)
+            ci = post.credible_interval(0.9)
+            want[d] = (post.median(), ci.low, ci.high, cap, float(post.probs[-1]))
+        assert estimates.by_found == want
+        # each row reads its count's summary
+        assert [(e.found, e.median, e.ci_low, e.ci_high) for e in estimates] == [
+            (d, *want[d][:3]) for d in (2, 9, 2)
+        ]
 
     def test_default_n_max_rule(self):
         assert default_n_max(0) == 100
