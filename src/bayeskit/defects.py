@@ -9,8 +9,9 @@ an effectiveness grid absorbs the uncertainty about (e, E) into a posterior
 mixture.  All (e, E) cells are one broadcast array, computed once per
 distinct found count, and `estimate_class_totals` keeps each count's summary
 in one `by_found` map that every class with that count reads.  Each formula
-is written once, on arrays: the scalar `weibull_pdf`, `weibull_cdf` and
-`binomial_pmf` take that arithmetic at one point.
+is written once, on arrays, the Weibull density's x = 0 convention included:
+the scalar `weibull_pdf` (exp of the log density at every x >= 0, x = 0
+included), `weibull_cdf` and `binomial_pmf` take that arithmetic at one point.
 """
 
 from __future__ import annotations
@@ -146,12 +147,17 @@ class EffectivenessGrid:
 
 
 def _weibull_log_pdf(x, params: WeibullParams) -> np.ndarray:
-    """log pdf at x > 0, log b - log a + (b - 1) log z - exp(b log z) with log z = log x - log a;
-    -inf where the power is beyond the float range."""
+    """log pdf at x >= 0, log b - log a + (b - 1) log z - exp(b log z) with log z = log x - log a
+    and the (b - 1) term 0 at b = 1, so no 0 * -inf arises; -inf where the power is beyond the
+    float range.  At x = 0 that is -inf for b > 1 and log b - log a for b = 1; for b < 1, where
+    the density diverges, x = 0 takes the value at PDF_ZERO_EPS, keeping grids finite."""
     a, b = params.alpha, params.beta
-    logz = np.log(x) - math.log(a)
-    with np.errstate(over="ignore"):
-        return math.log(b) - math.log(a) + (b - 1.0) * logz - np.exp(b * logz)
+    if b < 1:
+        x = np.where(x == 0, PDF_ZERO_EPS, x)
+    with np.errstate(divide="ignore", over="ignore"):
+        logz = np.log(x) - math.log(a)
+        shape_term = (b - 1.0) * logz if b != 1 else 0.0
+        return math.log(b) - math.log(a) + shape_term - np.exp(b * logz)
 
 
 def _weibull_cdf(x, alpha, beta) -> np.ndarray:
@@ -165,22 +171,17 @@ def _weibull_cdf(x, alpha, beta) -> np.ndarray:
 
 
 def weibull_pdf(x: float, params: WeibullParams) -> float:
-    """Weibull density (beta/alpha)(x/alpha)^(beta-1) exp(-(x/alpha)^beta).
+    """Weibull density (beta/alpha)(x/alpha)^(beta-1) exp(-(x/alpha)^beta); 0 for x < 0.
 
-    At x = 0 the limit convention applies: 0 for beta > 1, 1/alpha for
-    beta = 1, and for beta < 1 (where the density diverges) the value at
-    x = PDF_ZERO_EPS, keeping grid computations finite.  A density beyond
-    the float range is refused.
+    At every x >= 0, x = 0 included, this is exp of `_weibull_log_pdf`, so at
+    x = 0 it is 0 for beta > 1, 1/alpha for beta = 1 and the value at
+    PDF_ZERO_EPS for beta < 1.  A density beyond the float range is refused.
     """
     a, b = params.alpha, params.beta
-    if x < 0 or (x == 0 and b > 1):
+    if x < 0:
         return 0.0
-    if x == 0 and b == 1:
-        log_pdf = math.log(b) - math.log(a)  # the log density's z-terms vanish at z = 0
-    else:
-        log_pdf = float(_weibull_log_pdf(PDF_ZERO_EPS if x == 0 else x, params))
     try:
-        return math.exp(log_pdf)
+        return math.exp(float(_weibull_log_pdf(x, params)))
     except OverflowError:
         raise NonPositiveParams(
             f"the Weibull density at x = {x!r} is beyond the float range at alpha = {a!r}, beta = {b!r}"
@@ -191,7 +192,8 @@ def weibull_cdf(x: float, params: WeibullParams) -> float:
     """P[X <= x] = 1 - exp(-(x/alpha)^beta); 0 for x <= 0."""
     if x <= 0:
         return 0.0
-    return float(_weibull_cdf(np.array([x], dtype=float), params.alpha, params.beta)[0])
+    # beta as an array, as on the grids: NumPy takes a scalar exponent of 0.5 as a square root
+    return float(_weibull_cdf(np.array([x], dtype=float), params.alpha, np.array([params.beta]))[0])
 
 
 def fit_weibull_posterior(counts, prior_kind: str = "uniform", grid=None) -> JointPmf2D:
@@ -286,8 +288,8 @@ def binomial_pmf(h: int, e: float, d: int) -> float:
 
 
 def _log_factorials(ns: np.ndarray) -> np.ndarray:
-    """log(n!) for each n of an integer vector."""
-    return np.array([math.lgamma(n + 1) for n in ns.tolist()])
+    """log(n!) for each n of an integer vector, filled in place with no Python list."""
+    return np.fromiter(map(math.lgamma, ns + 1.0), float, ns.size)
 
 
 def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
@@ -310,11 +312,7 @@ def _log_binomials(h: np.ndarray, e_pts: np.ndarray, d: int) -> np.ndarray:
 
 def _log_scaled_priors(params: WeibullParams, s_pts: np.ndarray, n_max: int) -> np.ndarray:
     """log pdf(h * s) for h = 0..n_max, one row per rate s: the priors over true totals."""
-    h = np.arange(1, n_max + 1, dtype=float)
-    body = _weibull_log_pdf(h * s_pts[:, None], params)
-    at_zero = weibull_pdf(0.0, params)
-    head = math.log(at_zero) if at_zero > 0 else -np.inf
-    return np.concatenate((np.full((len(s_pts), 1), head), body), axis=1)
+    return _weibull_log_pdf(np.arange(n_max + 1, dtype=float) * s_pts[:, None], params)
 
 
 def total_bugs_posterior(
@@ -361,6 +359,7 @@ def _total_bug_cells(params: WeibullParams, d: int, grid: EffectivenessGrid, n_m
         )
     log_cells[empty] = 0.0  # a finite stand-in, so the shift does not raise; zeroed below
     cells = _shift_exp(log_cells, axis=2)
+    del log_cells  # its shifted copy is all that is needed below
     cells /= cells.sum(axis=2, keepdims=True)
     cells[empty] = 0.0
     total = (np.exp(log_binom)[:, None, :] * cells).sum(axis=2)

@@ -1308,9 +1308,11 @@ class TestExtremeValues:
                      f"the grid of bin edges ({10**400 + 1} float64) needs ", id="bins"),
         pytest.param(["fit-defects", "--data", DATA / "demo_bugs.csv", "--beta-range", "1e-300,1e300"],
                      "the CDF fan has no finite 99% point at the low pick, beta = 1e-300", id="cdf-fan"),
+        # the prior density at 0 is 1/alpha, beyond the float range, but its log (713.8) is not:
+        # all prior mass sits at 0 bugs, which no class with found bugs can have
         pytest.param(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "1e-310",
-                      "--beta", "1"], "the Weibull density at x = 0.0 is beyond the float range at "
-                     "alpha = 1e-310, beta = 1.0", id="prior-density"),
+                      "--beta", "1"], "found count 2 is impossible in every effectiveness cell with "
+                     "totals capped at 100", id="prior-density"),
     ])
     def test_size_or_step_beyond_floats_in_one_line(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"

@@ -11,20 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bayeskit.defects import (
     DEFAULT_ALPHA_RANGE,
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
+    PDF_ZERO_EPS,
     PRIORS,
     BugCounts,
     ClassEstimate,
     EffectivenessGrid,
     WeibullParams,
     _log_binomials,
+    _log_factorials,
     _log_scaled_priors,
+    _total_bug_cells,
+    _weibull_log_pdf,
     binomial_pmf,
     class_total_bugs,
     default_n_max,
@@ -349,6 +353,22 @@ class TestBinomial:
             alone = _log_scaled_priors(params, np.array([e]), n_max)[0]
             assert rows[i].tobytes() == alone.tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [4.0, 1e-310, 1e300])
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 1.0, 2.0])
+    def test_log_prior_at_zero_bugs_is_the_limit_convention(self, alpha, beta):
+        # one log density over h = 0..n_max: no 0 * log 0, and no exp/log round trip at h = 0
+        params = WeibullParams(alpha, beta)
+        column = _log_scaled_priors(params, np.array([0.7, 0.95]), 5)[:, 0].tolist()
+        if beta > 1:
+            want = -math.inf
+        elif beta == 1:
+            want = math.log(beta) - math.log(alpha)
+        else:
+            want = float(_weibull_log_pdf(PDF_ZERO_EPS, params))
+        assert column == [want, want]
+
+
 class TestScalarsAreViews:
     """Each scalar function is its array formula at one point, bit for bit."""
 
@@ -356,14 +376,14 @@ class TestScalarsAreViews:
     @given(
         rates=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
         alpha=st.floats(1e-3, 1e3),
-        beta=st.floats(0.05, 5.0),
+        beta=st.one_of(st.just(1.0), st.floats(0.05, 0.99), st.floats(1.01, 5.0)),
         n_max=st.integers(1, 300),
     )
     def test_weibull_pdf_is_the_log_prior(self, rates, alpha, beta, n_max):
         params = WeibullParams(alpha, beta)
         rows = _log_scaled_priors(params, np.array(rates), n_max)
         for s, row in zip(rates, rows.tolist()):
-            for h in range(1, n_max + 1):
+            for h in range(n_max + 1):
                 assert weibull_pdf(h * s, params) == math.exp(row[h])
 
     @settings(max_examples=100, deadline=None)
@@ -385,6 +405,7 @@ class TestScalarsAreViews:
         alpha=st.floats(1e-3, 1e3),
         beta=st.floats(0.05, 5.0),
     )
+    @example(n=140, alpha=77.75, beta=0.5)  # sqrt(x) and pow(x, 0.5) differ in the last bit here
     def test_weibull_cdf_is_the_derived_value(self, n, alpha, beta):
         joint = JointPmf2D([alpha], [beta], np.array([[1.0]]))
         (value,) = derived_prob_at_most(n, joint).support
@@ -843,6 +864,21 @@ class TestInPlaceGrids:
         pmf, peak = _traced_peak(lambda: derived_prob_at_most(5, joint))
         assert len(pmf) > 0.5 * joint.probs.size  # mostly distinct values
         assert peak < 8 * self.GRID_BYTES
+
+    def test_log_factorials_build_no_list(self):
+        ns = np.array([0, 1, 2, 170, 171, 10**6, 2**40, 2**53 - 1])
+        assert _log_factorials(ns).tolist() == [math.lgamma(n + 1) for n in ns.tolist()]
+        big = np.arange(10**6)
+        got, peak = _traced_peak(lambda: _log_factorials(big))
+        assert peak < 3 * got.nbytes  # a list of Python floats held about 9 result arrays
+
+    def test_total_bug_cells_hold_under_three_grids(self):
+        # the log cells are dropped once shifted into their copy, before the likelihood sum
+        grid, n_max = EffectivenessGrid(), 10**5
+        grid_bytes = grid.e_steps * grid.strong_steps * (n_max + 1) * 8
+        _total_bug_cells(P_TYPICAL, 3, grid, 10)  # first-use allocations out of the count
+        (_, _, cells, _), peak = _traced_peak(lambda: _total_bug_cells(P_TYPICAL, 3, grid, n_max))
+        assert cells.nbytes == grid_bytes and peak < 3 * grid_bytes
 
     def test_public_constructors_leave_the_callers_arrays_alone(self):
         logw = np.linspace(-5.0, 0.0, 12).reshape(3, 4)

@@ -363,6 +363,24 @@ class TestLikelihoods:
                 sum(weights) ** 2, rel=1e-12
             )
 
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 1), (0, 2)])
+    def test_prior_predictive_sums_to_the_prior_mass(self, sizes):
+        # summed over every data set of these group sizes, each grid point's multinomial
+        # probabilities add up to 1, so the "A better" likelihood adds up to W(better) W(not better)
+        step = 0.25
+        grid = enumerate_simplex(3, step)
+        group_a, group_b = (_compositions(3, n).tolist() for n in sizes)
+        pairs = [(a, b) for a in group_a for b in group_b]
+        empty = OutcomeCounts((0, 0, 0), (0, 0, 0))
+        for name, scheme in BUNDLED_CASES:
+            baseline = BUNDLED_BASELINES[name]
+            w_all = math.fsum(scheme_weight(p, baseline, scheme) for p in grid)
+            total = math.fsum(
+                likelihood_better(OutcomeCounts(a, b), baseline, scheme, step) for a, b in pairs
+            )
+            prior = math.exp(_log_likelihoods(empty, baseline, scheme, step)[2])
+            assert total / w_all**2 == pytest.approx(prior, rel=1e-12), (name, scheme)
+
     def test_equal_hypothesis_symmetric_under_group_swap(self):
         data = OutcomeCounts((3, 4, 5), (1, 0, 7))
         swapped = OutcomeCounts((1, 0, 7), (3, 4, 5))
