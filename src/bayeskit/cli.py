@@ -284,10 +284,6 @@ class ComparePerformanceConfig(_Common):
 class _BugsConfig(_Common):
     data: str = _option("bugs CSV: class_id,found_simple,found_strong,public_methods,loc")
     prior: str = _option("Weibull parameter prior", default="uniform", choices=defects.PRIORS)
-
-
-@dataclass
-class FitDefectsConfig(_BugsConfig):
     alpha_range: tuple[float, float] = _option(
         "scale grid bounds a,b", _pair, defects.DEFAULT_ALPHA_RANGE
     )
@@ -295,6 +291,10 @@ class FitDefectsConfig(_BugsConfig):
         "shape grid bounds a,b", _pair, defects.DEFAULT_BETA_RANGE
     )
     grid: tuple[int, int] = _option("grid resolution NxM", _grid, defects.DEFAULT_GRID_STEPS)
+
+
+@dataclass
+class FitDefectsConfig(_BugsConfig):
     ci: float = _option("marginal credible-interval mass", float, 0.9)
     pareto_xmax: float | None = _option(
         "denominator for the 80%% concentration fraction", float, None
@@ -465,34 +465,32 @@ def _load_bugs(cfg: _BugsConfig):
     return bugs
 
 
-def _fit_joint(bug_rows, prior, grid=None):
-    counts = [b.found_strong for b in bug_rows]
-    return defects.fit_weibull_posterior(counts, prior, grid)
-
-
 #: mass in the first or last cell of a Weibull marginal, or in the last cell of a
 #: total-bug posterior, above which that posterior is cut off at its grid's edge
 _EDGE_MASS = 1e-3
 
 
-def _edge_warnings(joint, remedy="fit-defects --{axis}-range fits on a wider grid") -> list[str]:
-    """A warning per end of the alpha or beta grid whose marginal cell holds more
-    than `_EDGE_MASS`; `remedy` names the flag that widens the axis."""
+def _fit_weibull(cfg: _BugsConfig, bugs) -> tuple:
+    """The Weibull posterior of the classes' found-strong counts on the config's grid, and a
+    warning per end of an axis whose marginal cell holds more than `_EDGE_MASS`."""
+    joint = defects.fit_weibull_posterior(
+        [b.found_strong for b in bugs], cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid)
+    )
     warnings = []
-    for axis, grid, mass in (("alpha", joint.x_grid, joint.probs.sum(axis=1)),
-                             ("beta", joint.y_grid, joint.probs.sum(axis=0))):
+    for axis, points, mass in (("alpha", joint.x_grid, joint.probs.sum(axis=1)),
+                               ("beta", joint.y_grid, joint.probs.sum(axis=0))):
         for end, i in (("first", 0), ("last", -1)):
-            if grid.size > 1 and mass[i] > _EDGE_MASS:
+            if points.size > 1 and mass[i] > _EDGE_MASS:
                 warnings.append(
                     f"Weibull {axis} posterior holds {float(mass[i]):.3g} in its {end} grid cell "
-                    f"({axis} = {float(grid[i]):g}): the fit is cut off at the grid's edge; "
-                    + remedy.format(axis=axis)
+                    f"({axis} = {float(points[i]):g}): the fit is cut off at the grid's edge; "
+                    f"widen --{axis}-range"
                 )
-    return warnings
+    return joint, warnings
 
 
 def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
-    joint = _fit_joint(_load_bugs(cfg), cfg.prior, (cfg.alpha_range, cfg.beta_range, cfg.grid))
+    joint, warnings = _fit_weibull(cfg, _load_bugs(cfg))
     marg_a = joint.marginal_x()
     marg_b = joint.marginal_y()
     map_a, map_b = joint.map_point()
@@ -545,20 +543,18 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
     files["cdf_fan.svg"] = line_chart_svg(
         series, "Fitted cumulative distributions", "bugs per class", "P[X <= x]"
     )
-    return fit, _edge_warnings(joint, "widen --{axis}-range")
+    return fit, warnings
 
 
 def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[dict, list]:
     bugs = _load_bugs(cfg)
     if (cfg.alpha is None) != (cfg.beta is None):
         raise InvalidValue("--alpha and --beta must be given together")
-    warnings = []
     if cfg.alpha is not None:
-        params = defects.WeibullParams(cfg.alpha, cfg.beta)
+        params, warnings = defects.WeibullParams(cfg.alpha, cfg.beta), []
     else:
-        joint = _fit_joint(bugs, cfg.prior)
+        joint, warnings = _fit_weibull(cfg, bugs)
         params = defects.WeibullParams(*joint.map_point())
-        warnings = _edge_warnings(joint)
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
@@ -594,7 +590,7 @@ def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[
 
 
 def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]:
-    joint = _fit_joint(_load_bugs(cfg), cfg.prior)
+    joint, warnings = _fit_weibull(cfg, _load_bugs(cfg))
     pmf = defects.derived_prob_at_most(cfg.at_most, joint, bins=cfg.bins)
     files[f"at_most_{cfg.at_most}.svg"] = line_chart_svg(
         [(f"at most {cfg.at_most} bugs", pmf.points, pmf.probs)],
@@ -604,7 +600,7 @@ def run_derived_plots(cfg: DerivedPlotsConfig, files: dict) -> tuple[dict, list]
     )
     payload = {"at_most": cfg.at_most, "support": list(pmf.support), "mass": pmf.probs.tolist()}
     _write_json(files, f"at_most_{cfg.at_most}.json", payload)
-    return {"at_most": cfg.at_most, "bins": cfg.bins, "mean": pmf.mean()}, _edge_warnings(joint)
+    return {"at_most": cfg.at_most, "bins": cfg.bins, "mean": pmf.mean()}, warnings
 
 
 # -- command line ------------------------------------------------------------

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -77,9 +78,14 @@ class TestHelp:
             (
                 "estimate-total-bugs",
                 ["--data", "--e-range", "--E-range", "--nmax", "--alpha", "--beta",
-                 "0.15,0.5", "0.7,0.95", "max(100, 10*found)"],
+                 "0.15,0.5", "0.7,0.95", "max(100, 10*found)",
+                 "--alpha-range", "--beta-range", "--grid", "0.1,40", "400x300"],
             ),
-            ("derived-plots", ["--data", "--at-most", "--prior", "--bins"]),
+            (
+                "derived-plots",
+                ["--data", "--at-most", "--prior", "--bins",
+                 "--alpha-range", "--beta-range", "--grid", "0.1,40", "400x300"],
+            ),
         ],
     )
     def test_subcommand_flags_documented(self, command, flags):
@@ -839,15 +845,52 @@ class TestDefectCommands:
         )
         assert not (tmp_path / "empty").exists()
 
+    def test_outputs_do_not_depend_on_row_order_or_class_names(self, tmp_path):
+        # shuffle the classes and rename each one: the fit and the derived pmf read only the
+        # multiset of counts, and each total-bug row follows its class
+        rng = random.Random(7)
+        header, *lines = (DATA / "demo_bugs.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        names = [f"k{i:02d}" for i in range(len(rows))]
+        rng.shuffle(names)
+        renamed = dict(zip((row[0] for row in rows), names))
+        back = {new: old for old, new in renamed.items()}
+        rng.shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("".join(f"{line}\n" for line in
+                                    [header, *(",".join([renamed[r[0]], *r[1:]]) for r in rows)]))
+
+        runs = {
+            "fit": (["fit-defects", "--pareto-xmax", "60"],
+                    ["weibull_fit.json", "marginal_alpha.svg", "marginal_beta.svg", "cdf_fan.svg"]),
+            "totals": (["estimate-total-bugs"], []),
+            "derived": (["derived-plots", "--at-most", "5"], ["at_most_5.json", "at_most_5.svg"]),
+        }
+        for name, (args, same_bytes) in runs.items():
+            original, moved = tmp_path / "original" / name, tmp_path / "moved" / name
+            for data, out in ((DATA / "demo_bugs.csv", original), (shuffled, moved)):
+                assert run([*args, "--data", data, "--out", out, *FAST_FIT]) == 0
+            for file in same_bytes:
+                assert (original / file).read_bytes() == (moved / file).read_bytes()
+            expected, got = (json.loads((out / "report.json").read_text())["results"]
+                             for out in (original, moved))
+            if name == "totals":
+                for row in got["rows"]:
+                    row["class_id"] = back[row["class_id"]]
+                for results in (expected, got):
+                    results["rows"].sort(key=lambda row: row["class_id"])
+                (head, *want), (same_head, *have) = (read_csv(out / "total_bugs.csv")
+                                                     for out in (original, moved))
+                assert same_head == head
+                assert sorted([back[row[0]], *row[1:]] for row in have) == sorted(want)
+            assert got == expected
+
 
 class TestGridEdgeWarnings:
     """A Weibull fit with more than 1e-3 of a marginal in an end cell of its grid is reported."""
 
-    COMMANDS = [
-        ("fit-defects", "widen --{axis}-range"),
-        ("derived-plots", "fit-defects --{axis}-range fits on a wider grid"),
-        ("estimate-total-bugs", "fit-defects --{axis}-range fits on a wider grid"),
-    ]
+    # every command fits on its own grid, so each names its own flag
+    COMMANDS = ["fit-defects", "derived-plots", "estimate-total-bugs"]
 
     @staticmethod
     def bugs_csv(path, counts):
@@ -860,15 +903,15 @@ class TestGridEdgeWarnings:
         ([200, 150, 300], [("alpha", "last", "0.0265", "40"), ("beta", "first", "0.00553", "0.1")]),
         ([0] * 30, [("beta", "last", "0.0924", "3")]),
     ], ids=["large-counts", "zero-counts"])
-    @pytest.mark.parametrize("command, remedy", COMMANDS, ids=[c for c, _ in COMMANDS])
-    def test_fit_at_the_grid_edge_warns(self, tmp_path, command, remedy, counts, edges):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fit_at_the_grid_edge_warns(self, tmp_path, command, counts, edges):
         data = self.bugs_csv(tmp_path / "bugs.csv", counts)
         out = tmp_path / "out"
         assert run([command, "--data", data, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["warnings"] == [
             f"Weibull {axis} posterior holds {mass} in its {end} grid cell ({axis} = {value}): "
-            f"the fit is cut off at the grid's edge; " + remedy.format(axis=axis)
+            f"the fit is cut off at the grid's edge; widen --{axis}-range"
             for axis, end, mass, value in edges
         ]
 
@@ -881,15 +924,33 @@ class TestGridEdgeWarnings:
     def test_one_point_axes_do_not_warn(self, tmp_path):
         # a one-point axis holds all its mass in its only cell: it is fixed, not cut off
         data = self.bugs_csv(tmp_path / "bugs.csv", [200, 150, 300])
-        args = ["fit-defects", "--data", data, "--out", tmp_path, "--grid", "1x1",
-                "--alpha-range", "40,40", "--beta-range", "0.1,0.1"]
-        assert run(args) == 0
-        assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
+        for command in self.COMMANDS:
+            out = tmp_path / command
+            args = [command, "--data", data, "--out", out, "--grid", "1x1",
+                    "--alpha-range", "40,40", "--beta-range", "0.1,0.1"]
+            assert run(args) == 0
+            assert json.loads((out / "report.json").read_text())["warnings"] == []
 
-    @pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_bundled_fit_does_not_warn(self, tmp_path, command):
         assert run([command, "--data", DATA / "demo_bugs.csv", "--out", tmp_path]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
+
+    def test_every_command_widens_its_own_grid(self, tmp_path):
+        # the fit cut off at alpha = 40 on the default grid lies inside the wider one, and the
+        # total-bug estimates build on the MAP of that wider fit
+        data = self.bugs_csv(tmp_path / "bugs.csv", [200, 150, 300])
+        wide = ["--alpha-range", "1,1000", "--beta-range", "0.02,10"]
+        reports = {}
+        for command in self.COMMANDS:
+            out = tmp_path / command
+            assert run([command, "--data", data, "--out", out, *wide]) == 0
+            reports[command] = json.loads((out / "report.json").read_text())
+            assert reports[command]["warnings"] == []
+            assert reports[command]["parameters"]["alpha_range"] == [1.0, 1000.0]
+        fit_map = reports["fit-defects"]["results"]["map"]
+        totals = reports["estimate-total-bugs"]["results"]
+        assert [totals["alpha"], totals["beta"]] == [fit_map["alpha"], fit_map["beta"]]
 
 
 class TestTotalBugCapWarning:
@@ -1021,15 +1082,16 @@ class TestConfigAndErrors:
             ("fit-defects", ["--alpha-range", "1,inf"], "bad parameter grid"),
             ("fit-defects", ["--beta-range", "0.1,inf"], "bad parameter grid"),
             ("fit-defects", ["--pareto-xmax", "inf"], "x_max must be positive and finite"),
+            # every fitting command checks the grid it shares with fit-defects
+            ("derived-plots", ["--alpha-range", "1,inf"], "bad parameter grid"),
+            ("estimate-total-bugs", ["--alpha-range", "1,inf"], "bad parameter grid"),
         ],
     )
     def test_non_finite_weibull_inputs_fail_before_writing(
         self, tmp_path, capsys, command, flags, message
     ):
         out = tmp_path / "out"
-        args = [command, "--data", DATA / "demo_bugs.csv", "--out", out, *flags]
-        if command == "fit-defects":
-            args += ["--grid", "20x10"]
+        args = [command, "--data", DATA / "demo_bugs.csv", "--out", out, "--grid", "20x10", *flags]
         assert run(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("bayeskit: error:") and message in err
