@@ -316,8 +316,6 @@ class EstimateTotalBugsConfig(_BugsConfig):
     )
     nmax: int | None = _option("cap on total bugs per class", int, None, shown="max(100, 10*found)")
     ci: float = _option("credible-interval mass", float, 0.9)
-    alpha: float | None = _option("fix the Weibull scale instead of refitting", float, None)
-    beta: float | None = _option("fix the Weibull shape instead of refitting", float, None)
 
 
 @dataclass
@@ -548,13 +546,8 @@ def run_fit_defects(cfg: FitDefectsConfig, files: dict) -> tuple[dict, list]:
 
 def run_estimate_total_bugs(cfg: EstimateTotalBugsConfig, files: dict) -> tuple[dict, list]:
     bugs = _load_bugs(cfg)
-    if (cfg.alpha is None) != (cfg.beta is None):
-        raise InvalidValue("--alpha and --beta must be given together")
-    if cfg.alpha is not None:
-        params, warnings = defects.WeibullParams(cfg.alpha, cfg.beta), []
-    else:
-        joint, warnings = _fit_weibull(cfg, bugs)
-        params = defects.WeibullParams(*joint.map_point())
+    joint, warnings = _fit_weibull(cfg, bugs)
+    params = defects.WeibullParams(*joint.map_point())
 
     grid = defects.EffectivenessGrid(cfg.e_range, cfg.strong_range, cfg.e_steps, cfg.strong_steps)
     estimates = defects.estimate_class_totals(bugs, params, grid, cfg.nmax, cfg.ci)
@@ -640,6 +633,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayeskit",
         description="Bayesian data analysis of project outcomes, benchmark speedups, and defect counts.",
+        allow_abbrev=False,  # flags are spelled in full; an abbreviation is unrecognized
     )
     # an explicit prog spares argparse a usage line per call; the metavar names every command
     # in the usage line, and stays unset for the full parser, whose errors say `argument command`
@@ -647,7 +641,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", prog="bayeskit", metavar=metavar)
     for name in COMMANDS if command is None else [command]:
         cls, _, summary = COMMANDS[name]
-        _add_options(sub.add_parser(name, help=summary), cls)
+        _add_options(sub.add_parser(name, help=summary, allow_abbrev=False), cls)
     return parser
 
 

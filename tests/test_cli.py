@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayeskit import cli, outcomes
+from bayeskit import cli, datasets, defects, outcomes
 from bayeskit.cli import _json, build_parser, main
 
 from oracles import _log10_exact, log10_bayes_factor_oracle, normalised_factor_oracle
@@ -31,6 +31,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
 
 FAST_FIT = ["--grid", "60x40", "--alpha-range", "1,20", "--beta-range", "0.3,2"]
+
+
+def one_point(alpha, beta):
+    """The flags that fix the Weibull parameters: a fit on the one-point grid (alpha, beta)."""
+    return ["--alpha-range", f"{alpha},{alpha}", "--beta-range", f"{beta},{beta}", "--grid", "1x1"]
 
 
 def run(args):
@@ -77,7 +82,7 @@ class TestHelp:
             ),
             (
                 "estimate-total-bugs",
-                ["--data", "--e-range", "--E-range", "--nmax", "--alpha", "--beta",
+                ["--data", "--e-range", "--E-range", "--nmax",
                  "0.15,0.5", "0.7,0.95", "max(100, 10*found)",
                  "--alpha-range", "--beta-range", "--grid", "0.1,40", "400x300"],
             ),
@@ -512,6 +517,24 @@ class TestCompareOutcomes:
         )
         assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
 
+    def test_outputs_do_not_depend_on_which_group_comes_first(self, tmp_path):
+        # the structured rows first, with agile named as the hypothesis group: the same counts
+        # meet the same hypotheses, so every factor keeps its bits
+        header, *lines = (DATA / "project_outcomes.csv").read_text().splitlines()
+        rows = sorted(lines, key=lambda line: line.split(",")[1] != "structured")
+        assert rows[0].split(",")[1] == "structured" and rows != lines
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join(f"{line}\n" for line in [header, *rows]))
+        common = ["compare-outcomes", "--baselines", DATA / "outcome_baselines.csv",
+                  "--simplex-step", "0.01"]
+        original, moved = tmp_path / "original", tmp_path / "moved"
+        assert run([*common, "--data", DATA / "project_outcomes.csv", "--out", original]) == 0
+        assert run([*common, "--data", reordered, "--hypothesis-group", "agile",
+                    "--out", moved]) == 0
+        for name in ("outcome_factors.json", "outcome_factors.csv",
+                     "outcome_factors_normalised.csv"):
+            assert (original / name).read_bytes() == (moved / name).read_bytes()
+
 
 class TestRepeatedNames:
     """A repeated name in a list option fails naming the flag, so the CSV and the JSON agree."""
@@ -635,6 +658,29 @@ class TestEmptyNames:
 
 
 class TestComparePerformance:
+    @pytest.mark.parametrize("metric", ["time", "memory"])
+    def test_outputs_do_not_depend_on_the_unit(self, tmp_path, metric):
+        # every value times 1024: a power of two scales exactly, so every ratio keeps its bits
+        scaled = {}
+        for name in ("demo_primary.csv", "demo_bench.csv"):
+            header, *lines = (DATA / name).read_text().splitlines()
+            rows = [line.rsplit(",", 1) for line in lines]
+            scaled[name] = tmp_path / name
+            scaled[name].write_text("".join(f"{line}\n" for line in [header, *(
+                f"{rest},{float(value) * 1024!r}" for rest, value in rows)]))
+        original, moved = tmp_path / "original", tmp_path / "moved"
+        for primary, calib, out in ((DATA / "demo_primary.csv", DATA / "demo_bench.csv", original),
+                                    (scaled["demo_primary.csv"], scaled["demo_bench.csv"], moved)):
+            assert run(["compare-performance", "--primary", primary, "--calib", calib,
+                        "--metric", metric, "--plots", "--out", out]) == 0
+        plots = sorted(f"plots/{p.name}" for p in (original / "plots").glob("*.svg"))
+        assert len(plots) == 28
+        for name in ["summary.csv", "graph.dot", *plots]:
+            assert (original / name).read_bytes() == (moved / name).read_bytes()
+        expected, got = (json.loads((out / "report.json").read_text())["results"]
+                         for out in (original, moved))
+        assert got == expected
+
     def test_demo_pairs_and_graph(self, tmp_path):
         code = run(
             ["compare-performance", "--primary", DATA / "demo_primary.csv",
@@ -805,7 +851,7 @@ class TestDefectCommands:
     def test_estimate_total_bugs_outputs(self, tmp_path):
         code = run(
             ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", tmp_path,
-             "--alpha", "8", "--beta", "0.9", "--e-steps", "3", "--E-steps", "2"]
+             *one_point(8, 0.9), "--e-steps", "3", "--E-steps", "2"]
         )
         assert code == 0
         rows = read_csv(tmp_path / "total_bugs.csv")
@@ -813,6 +859,24 @@ class TestDefectCommands:
         assert len(rows) - 1 == 21
         for row in rows[1:]:
             assert float(row[2]) <= float(row[1]) <= float(row[3])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha, beta", [(8, 0.9), (20, 1), (3, 0.5), (1e300, 0.01)])
+    def test_one_point_grid_fixes_the_weibull_parameters(self, tmp_path, alpha, beta):
+        # the fit on a one-point grid puts all its mass there, so the totals are the library's
+        # at those parameters
+        data = DATA / "demo_bugs.csv"
+        assert run(["estimate-total-bugs", "--data", data, "--out", tmp_path,
+                    *one_point(alpha, beta)]) == 0
+        estimates = defects.estimate_class_totals(
+            datasets.load_bug_counts(data), defects.WeibullParams(alpha, beta),
+            defects.EffectivenessGrid(),
+        )
+        lines = ["class_id,median,ci_low,ci_high,per_method"] + [
+            ",".join([e.class_id, *map(cli._fmt6, (e.median, e.ci_low, e.ci_high, e.per_method))])
+            for e in estimates
+        ]
+        assert (tmp_path / "total_bugs.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_derived_plots_outputs(self, tmp_path):
         code = run(
@@ -917,7 +981,7 @@ class TestGridEdgeWarnings:
 
     def test_fixed_parameters_fit_nothing_and_do_not_warn(self, tmp_path):
         data = self.bugs_csv(tmp_path / "bugs.csv", [200, 150, 300])
-        args = ["estimate-total-bugs", "--data", data, "--out", tmp_path, "--alpha", "40", "--beta", "2"]
+        args = ["estimate-total-bugs", "--data", data, "--out", tmp_path, *one_point(40, 2)]
         assert run(args) == 0
         assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
 
@@ -977,8 +1041,9 @@ class TestConfigAndErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "data": str(DATA / "demo_bugs.csv"),
-            "alpha": 8.0,
-            "beta": 0.9,
+            "alpha_range": [8.0, 8.0],
+            "beta_range": [0.9, 0.9],
+            "grid": [1, 1],
             "e_steps": 2,
             "strong_steps": 2,
         }))
@@ -986,24 +1051,25 @@ class TestConfigAndErrors:
         code = run(["estimate-total-bugs", "--config", cfg, "--out", out])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["parameters"]["alpha"] == 8.0
+        assert report["parameters"]["alpha_range"] == [8.0, 8.0]
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "data": str(DATA / "demo_bugs.csv"),
-            "alpha": 8.0,
-            "beta": 0.9,
+            "alpha_range": [8.0, 8.0],
+            "beta_range": [0.9, 0.9],
+            "grid": [1, 1],
             "e_steps": 2,
             "strong_steps": 2,
         }))
         out = tmp_path / "out"
         code = run(
-            ["estimate-total-bugs", "--config", cfg, "--out", out, "--alpha", "5", "--beta", "1.1"]
+            ["estimate-total-bugs", "--config", cfg, "--out", out, *one_point(5, 1.1)]
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["parameters"]["alpha"] == 5.0
+        assert report["parameters"]["alpha_range"] == [5.0, 5.0]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1018,7 +1084,7 @@ class TestConfigAndErrors:
         assert "prior" in capsys.readouterr().err
 
     def test_config_values_parsed_like_flags(self, tmp_path):
-        fixed = ["--data", DATA / "demo_bugs.csv", "--alpha", "8", "--beta", "0.9"]
+        fixed = ["--data", DATA / "demo_bugs.csv", *one_point(8, 0.9)]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"e_steps": "2", "strong_steps": "2"}))
         from_config, from_flags = tmp_path / "config", tmp_path / "flags"
@@ -1077,8 +1143,8 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "command,flags,message",
         [
-            ("estimate-total-bugs", ["--alpha", "inf", "--beta", "1"], "positive and finite"),
-            ("estimate-total-bugs", ["--alpha", "5", "--beta", "inf"], "positive and finite"),
+            ("estimate-total-bugs", one_point("inf", 1), "bad parameter grid"),
+            ("estimate-total-bugs", one_point(5, "inf"), "bad parameter grid"),
             ("fit-defects", ["--alpha-range", "1,inf"], "bad parameter grid"),
             ("fit-defects", ["--beta-range", "0.1,inf"], "bad parameter grid"),
             ("fit-defects", ["--pareto-xmax", "inf"], "x_max must be positive and finite"),
@@ -1135,11 +1201,31 @@ class TestConfigAndErrors:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("given", [["--alpha", "8"], ["--beta", "0.9"]])
-    def test_alpha_and_beta_go_together(self, tmp_path, capsys, given):
+    def test_fixed_parameter_flags_are_gone(self, tmp_path, capsys):
+        # a one-point grid fixes the parameters; --alpha is neither an option nor, since flags
+        # must be spelled in full, an abbreviation of --alpha-range
         out = tmp_path / "out"
-        assert run(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", out, *given]) == 1
-        assert capsys.readouterr().err == "bayeskit: error: --alpha and --beta must be given together\n"
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--out", out,
+                "--alpha", "8", "--beta", "0.9"]
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 8 --beta 0.9" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(DATA / "demo_bugs.csv"), "alpha": 8, "beta": 0.9}))
+        assert run(["estimate-total-bugs", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "bayeskit: error: estimate-total-bugs: unknown option(s) ['alpha', 'beta']\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_abbreviated_flags_are_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--ou", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ou" in capsys.readouterr().err
         assert not out.exists()
 
     def test_blank_public_methods_give_no_per_method_value(self, tmp_path):
@@ -1149,7 +1235,7 @@ class TestConfigAndErrors:
         )
         out = tmp_path / "out"
         code = run(
-            ["estimate-total-bugs", "--data", bugs, "--out", out, "--alpha", "8", "--beta", "0.9",
+            ["estimate-total-bugs", "--data", bugs, "--out", out, *one_point(8, 0.9),
              "--e-steps", "2", "--E-steps", "2"]
         )
         assert code == 0
@@ -1258,8 +1344,8 @@ class TestReportAndInputs:
              [DATA / "demo_primary.csv", DATA / "demo_bench.csv"]),
             (["fit-defects", "--data", DATA / "demo_bugs.csv", *FAST_FIT],
              [DATA / "demo_bugs.csv"]),
-            (["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "8",
-              "--beta", "0.9", "--e-steps", "3", "--E-steps", "2"],
+            (["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", *one_point(8, 0.9),
+              "--e-steps", "3", "--E-steps", "2"],
              [DATA / "demo_bugs.csv"]),
             (["derived-plots", "--data", DATA / "demo_bugs.csv", "--bins", "20"],
              [DATA / "demo_bugs.csv"]),
@@ -1289,8 +1375,7 @@ OUTPUT_SETS = {
         ["cdf_fan.svg", "marginal_alpha.svg", "marginal_beta.svg", "weibull_fit.json"],
     ),
     "estimate-total-bugs": (
-        ["--data", DATA / "demo_bugs.csv", "--alpha", "8", "--beta", "0.9", "--e-steps", "3",
-         "--E-steps", "2"],
+        ["--data", DATA / "demo_bugs.csv", *one_point(8, 0.9), "--e-steps", "3", "--E-steps", "2"],
         ["total_bugs.csv"],
     ),
     "derived-plots": (
@@ -1345,8 +1430,9 @@ class TestExtremeValues:
         (["estimate-total-bugs", "--e-steps", BIG], f"e grid step count {BIG} is too large"),
         (["fit-defects", "--grid", f"{BIG}x300"], f"alpha grid step count {BIG} is too large"),
         (["derived-plots", "--at-most", BIG], f"at-most count {BIG} is too large for a float"),
-        (["estimate-total-bugs", "--alpha", "1e-300", "--beta", "3"],
-         "n_max=100 leaves the Weibull prior no mass on totals 0..100"),  # exp overflows to 0
+        # exp overflows to 0 at every found count: the fit finds the counts impossible
+        (["estimate-total-bugs", *one_point(1e-300, 3)],
+         "all log-weights are -inf: data impossible under every hypothesis"),
         (["fit-defects", "--pareto-xmax", "1e-320", *FAST_FIT], "the 80% point over x_max = 1e-320 "
          "is not finite at beta = "),
     ])
@@ -1370,11 +1456,12 @@ class TestExtremeValues:
                      f"the grid of bin edges ({10**400 + 1} float64) needs ", id="bins"),
         pytest.param(["fit-defects", "--data", DATA / "demo_bugs.csv", "--beta-range", "1e-300,1e300"],
                      "the CDF fan has no finite 99% point at the low pick, beta = 1e-300", id="cdf-fan"),
-        # the prior density at 0 is 1/alpha, beyond the float range, but its log (713.8) is not:
-        # all prior mass sits at 0 bugs, which no class with found bugs can have
-        pytest.param(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "1e-310",
-                      "--beta", "1"], "found count 2 is impossible in every effectiveness cell with "
-                     "totals capped at 100", id="prior-density"),
+        # the Weibull density at 0 is 1/alpha, beyond the float range, but its log (713.8) is
+        # not: all mass sits at 0 bugs, which no class with found-strong bugs can have
+        pytest.param(["estimate-total-bugs", "--data", DATA / "demo_bugs.csv",
+                      *one_point(1e-310, 1)],
+                     "all log-weights are -inf: data impossible under every hypothesis",
+                     id="prior-density"),
     ])
     def test_size_or_step_beyond_floats_in_one_line(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"
@@ -1386,7 +1473,7 @@ class TestExtremeValues:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_prior_density_that_overflows_only_on_the_way(self, tmp_path):
         # pdf(0) at alpha 1e300, beta 0.01 is about 7.58e6; its direct product overflows
-        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", "--alpha", "1e300", "--beta", "0.01"]
+        args = ["estimate-total-bugs", "--data", DATA / "demo_bugs.csv", *one_point(1e300, 0.01)]
         assert run([*args, "--out", tmp_path]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["warnings"] == []
 

@@ -569,6 +569,21 @@ class TestClassTotalBugs:
             (d, *want[d][:3]) for d in (2, 9, 2)
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prior_with_all_mass_at_zero_bugs(self):
+        # the density at 0 is 1/alpha, beyond the float range, but its log (713.8) is not:
+        # all prior mass sits at 0 bugs, which a class with found bugs cannot have
+        message = "^found count 2 is impossible in every effectiveness cell with totals capped at 100$"
+        with pytest.raises(AllZeroMass, match=message):
+            class_total_bugs(WeibullParams(1e-310, 1.0), 2, EffectivenessGrid(), 100)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prior_with_no_mass_below_the_cap(self):
+        # (h / alpha)^beta overflows at every total h >= 1, and beta > 1 puts no mass at h = 0
+        message = r"^n_max=100 leaves the Weibull prior no mass on totals 0\.\.100$"
+        with pytest.raises(ValueError, match=message):
+            class_total_bugs(WeibullParams(1e-300, 3.0), 2, EffectivenessGrid(), 100)
+
     def test_default_n_max_rule(self):
         assert default_n_max(0) == 100
         assert default_n_max(9) == 100
